@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-core race-prefetch race-directory race-snapshot check bench bench-build bench-all docs-check staticcheck
+.PHONY: build test vet race race-core race-prefetch race-directory race-snapshot check bench bench-build bench-all bench-smoke docs-check staticcheck
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The packages with genuinely concurrent internals — the pager's staged
-# writers and sharded pool, the parallel build and search, the parallel
-# support counter — get a dedicated race pass so a failure names the
+# The packages with genuinely concurrent internals — the pager's
+# sharded pool and its readers racing the overflow-flush writer, the
+# parallel search — get a dedicated race pass so a failure names the
 # layer directly instead of drowning in the full-suite run.
 race-core:
-	$(GO) test -race ./internal/pager ./internal/core ./internal/mining
+	$(GO) test -race ./internal/pager ./internal/core
 
 # The prefetch pipeline's dedicated hammer: concurrent queries,
 # inserts and compactions against a file-backed store with prefetch
@@ -47,7 +47,13 @@ race-directory:
 race-snapshot:
 	$(GO) test -race -run 'Snapshot|MutationDoesNotBlock' ./internal/core ./internal/shard .
 
-check: vet staticcheck docs-check race-core race-prefetch race-directory race-snapshot race
+check: vet staticcheck docs-check race-core race-prefetch race-directory race-snapshot race bench-smoke
+
+# The repo benchmark (bench/) is its own Go module, so neither the
+# suite above nor `go build ./...` compiles it: vet it and run its
+# smoke test so a library API change cannot break it unnoticed.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # staticcheck runs when the binary is on PATH (CI installs it); locally
 # it degrades to a skip notice rather than demanding an install.
@@ -62,17 +68,22 @@ staticcheck:
 # archives): per-query latency/allocations, the sharded engine's
 # scatter-gather at 1/4/8 shards (memory and disk), independent vs
 # shared-scan batches, the page-codec scan and fused-score kernels (v1
-# vs v2), the build pipeline serial vs parallel, support counting, the
+# vs v2), the build pipeline in memory and on disk, support counting, the
 # buffer-pool hammer, and the mixed read/write workload comparing the
 # retired RWMutex discipline against snapshot publication (query-ns/op
 # and decode-cache hit rate under 1% writes). delta_vs ratios compare
 # each shared benchmark
 # against the newest previous BENCH_PR*.json baseline; with no baseline
 # on disk the flag is omitted and the report carries absolute numbers.
-BENCH_OUT  := BENCH_PR10.json
+# Name the new archive on the command line
+# (make bench BENCH_OUT=BENCH_PR<n>.json); an existing archive is never
+# overwritten.
 BENCH_BASE := $(shell ls BENCH_PR*.json 2>/dev/null | grep -v '^$(BENCH_OUT)$$' | sort -V | tail -1)
 bench:
-	$(GO) test -run - -bench 'BenchmarkQuery|BenchmarkShardedQuery|BenchmarkBatchQuery|BenchmarkScanList|BenchmarkFusedScore|BenchmarkBuildIndex|BenchmarkSupportCount|BenchmarkPoolHammer|BenchmarkEntryRanking|BenchmarkMixedWorkload' -benchmem . ./internal/core | $(GO) run ./cmd/benchjson $(if $(BENCH_BASE),-delta-vs $(BENCH_BASE)) > $(BENCH_OUT)
+	@test -n "$(BENCH_OUT)" || { echo "bench: set BENCH_OUT=BENCH_PR<n>.json"; exit 1; }
+	@test ! -e "$(BENCH_OUT)" || { echo "bench: $(BENCH_OUT) exists; archives are not overwritten"; exit 1; }
+	$(GO) test -run - -bench 'BenchmarkQuery|BenchmarkShardedQuery|BenchmarkBatchQuery|BenchmarkScanList|BenchmarkFusedScore|BenchmarkBuildIndex|BenchmarkSupportCount|BenchmarkPoolHammer|BenchmarkEntryRanking|BenchmarkMixedWorkload' -benchmem . ./internal/core | $(GO) run ./cmd/benchjson $(if $(BENCH_BASE),-delta-vs $(BENCH_BASE)) > $(BENCH_OUT).tmp
+	mv $(BENCH_OUT).tmp $(BENCH_OUT)
 	@cat $(BENCH_OUT)
 
 # Every exported *Options / *Config struct in the public package must
@@ -86,8 +97,8 @@ docs-check:
 	done; \
 	exit $$missing
 
-# Just the build-pipeline benchmarks (serial vs parallel, memory vs
-# disk) — the quick loop when touching the build path.
+# Just the build-pipeline benchmarks (memory vs disk, plus support
+# counting) — the quick loop when touching the build path.
 bench-build:
 	$(GO) test -run - -bench 'BenchmarkBuildIndex|BenchmarkSupportCount' -benchmem .
 

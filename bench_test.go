@@ -611,11 +611,9 @@ func BenchmarkShardedQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildIndex measures the full build pipeline — support
+// BenchmarkBuildIndex measures the whole build pipeline — support
 // counting, clustering, coordinate assignment, grouping, page writes —
-// serial vs parallel (parallel = GOMAXPROCS workers), in memory and
-// disk mode. The serial/parallel pair is the headline BENCH_PR3.json
-// records.
+// in memory and disk mode.
 func BenchmarkBuildIndex(b *testing.B) {
 	g, err := NewGenerator(GeneratorConfig{Seed: 78})
 	if err != nil {
@@ -626,49 +624,36 @@ func BenchmarkBuildIndex(b *testing.B) {
 		name string
 		opt  IndexOptions
 	}{
-		{"serial", IndexOptions{SignatureCardinality: 15, BuildParallelism: 1}},
-		{"parallel", IndexOptions{SignatureCardinality: 15}},
-		{"serial-disk", IndexOptions{SignatureCardinality: 15, BuildParallelism: 1, PageSize: 4096, BufferPoolPages: 256}},
-		{"parallel-disk", IndexOptions{SignatureCardinality: 15, PageSize: 4096, BufferPoolPages: 256}},
+		{"memory", IndexOptions{SignatureCardinality: 15}},
+		{"disk", IndexOptions{SignatureCardinality: 15, PageSize: 4096, BufferPoolPages: 256}},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var workers int
 			for i := 0; i < b.N; i++ {
-				idx, err := BuildIndex(data, bc.opt)
-				if err != nil {
+				if _, err := BuildIndex(data, bc.opt); err != nil {
 					b.Fatal(err)
 				}
-				workers = idx.BuildStats().Workers
 			}
-			b.ReportMetric(float64(workers), "workers")
 		})
 	}
 }
 
 // BenchmarkSupportCount isolates the mining phase: one pass tallying
-// item and 2-itemset supports, serial vs fanned across GOMAXPROCS
-// workers with per-worker count merging.
+// item and 2-itemset supports.
 func BenchmarkSupportCount(b *testing.B) {
 	g, err := NewGenerator(GeneratorConfig{Seed: 79})
 	if err != nil {
 		b.Fatal(err)
 	}
 	data := g.Dataset(50000)
-	for _, bc := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				counts := mining.Count(data, mining.CountOptions{CountPairs: true, Parallelism: bc.par})
-				if counts.N != data.Len() {
-					b.Fatalf("counted %d of %d", counts.N, data.Len())
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		counts := mining.Count(data, mining.CountOptions{CountPairs: true})
+		if counts.N != data.Len() {
+			b.Fatalf("counted %d of %d", counts.N, data.Len())
+		}
 	}
 }
 

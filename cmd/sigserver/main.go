@@ -3,7 +3,7 @@
 //
 //	sigserver -data baskets.dat [-addr :8080] [-K 15] [-r 1]
 //	          [-query-timeout 5s] [-max-concurrent 64]
-//	          [-build-parallelism 0] [-page-size 0] [-page-file ""]
+//	          [-page-size 0] [-page-file ""]
 //	          [-page-format v2] [-pool-pages 0]
 //	          [-decode-cache-bytes 0] [-prefetch-workers 0]
 //	          [-readahead 0] [-shards 1]
@@ -65,9 +65,8 @@ func main() {
 		queryTimeout  = flag.Duration("query-timeout", 5*time.Second, "per-query search deadline (0 disables)")
 		maxConcurrent = flag.Int("max-concurrent", 0, "max in-flight requests (0 = 4×GOMAXPROCS)")
 		queryPar      = flag.Int("query-parallelism", 1, "scan goroutines per search when the request does not choose (1 = serial)")
-		buildPar      = flag.Int("build-parallelism", 0, "index build/rebuild workers (0 = GOMAXPROCS, 1 = serial)")
 		pageSize      = flag.Int("page-size", 0, "store transaction lists on simulated disk pages of this many bytes (0 = in memory)")
-		pageFile      = flag.String("page-file", "", "back the page store with a real file at this path (needs -page-size)")
+		pageFile      = flag.String("page-file", "", "back the page store with a real file at this path (needs -page-size); the file is truncated when the index is built: scratch space, not a saved index")
 		pageFormat    = flag.String("page-format", "v2", "on-page encoding with -page-size: v2 (block-compressed) or v1 (legacy varint chains)")
 		poolPages     = flag.Int("pool-pages", 0, "sharded clock buffer pool capacity in pages (needs -page-size)")
 		decodeCache   = flag.Int64("decode-cache-bytes", 0, "hot-entry decoded-list cache budget in bytes (needs -page-size, 0 disables)")
@@ -118,7 +117,6 @@ func main() {
 		BufferPoolPages:      *poolPages,
 		DecodeCacheBytes:     *decodeCache,
 		PrefetchWorkers:      *prefetchW,
-		BuildParallelism:     *buildPar,
 		Shards:               *shards,
 	}
 	var idx sigtable.Engine
@@ -134,8 +132,8 @@ func main() {
 	if err2 != nil {
 		log.Fatalf("sigserver: building index: %v", err2)
 	}
-	log.Printf("sigserver: indexed %d transactions (K=%d, %d entries, %s, %d build workers) in %v; listening on %s",
-		idx.Len(), idx.K(), idx.NumEntries(), engine, idx.BuildStats().Workers,
+	log.Printf("sigserver: indexed %d transactions (K=%d, %d entries, %s) in %v; listening on %s",
+		idx.Len(), idx.K(), idx.NumEntries(), engine,
 		time.Since(start).Round(time.Millisecond), *addr)
 
 	defer idx.Close()
@@ -144,7 +142,6 @@ func main() {
 		QueryTimeout:     *queryTimeout,
 		MaxConcurrent:    *maxConcurrent,
 		QueryParallelism: *queryPar,
-		BuildParallelism: *buildPar,
 		ReadaheadDepth:   *readahead,
 	}
 	if !*quiet {

@@ -210,7 +210,7 @@ func TestConcurrentQueryMutateDiskCache(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < compactions; i++ {
-			if err := idx.Compact(1); err != nil {
+			if err := idx.Compact(); err != nil {
 				fail <- err
 				return
 			}

@@ -81,7 +81,7 @@ func TestDirectoryRaceHammer(t *testing.T) {
 						case 2:
 							ix.Delete(TID(rng.Intn(ix.Len())))
 						case 3:
-							if err := ix.Compact(2); err != nil {
+							if err := ix.Compact(); err != nil {
 								t.Error(err)
 								return
 							}

@@ -96,16 +96,15 @@
 // sigtable_decode_cache_invalidations_total{scope="list|global"}
 // metric splits per-list evictions from wholesale generation bumps.
 //
-// Construction parallelizes the same way: IndexOptions.BuildParallelism
-// (0 = GOMAXPROCS, 1 = serial) fans every build phase — support
-// counting, supercoordinate computation, TID grouping, page writing —
-// across workers, and the built index (entries, TID order, page
-// layout) is identical for every worker count. Index.BuildStats
-// reports the per-phase wall times; Index.Compact rebuilds off to
-// the side with an explicit worker count and publishes the result as
-// a new snapshot (queries keep running throughout), and
-// Index.InsertBatch amortizes the writer mutex and snapshot
-// publication over many inserts.
+// Construction is one serial pass per phase, with no options to
+// tune: support counting tallies item pairs into a dense triangular
+// array (a map only for universes too large for it), a radix sort
+// groups transactions by supercoordinate, and each entry's list is
+// written to pages in coordinate order. Index.BuildStats reports the
+// per-phase wall times; Index.Compact rebuilds off to the side and
+// publishes the result as a new snapshot (queries keep running
+// throughout), and Index.InsertBatch amortizes the writer mutex and
+// snapshot publication over many inserts.
 //
 // On a disk-mode index, inserted transactions accumulate in the
 // mutated entry's in-memory overflow until IndexOptions.FlushThreshold

@@ -78,13 +78,15 @@ func (t *Table) Explain(target txn.Transaction, f simfun.Func) Explanation {
 	b := t.newBounder(overlaps)
 
 	baseM, baseD := BoundBase(overlaps, t.r)
+	targetCoord := signature.CoordOfOverlaps(overlaps, t.r)
 	ex := Explanation{
-		TargetCoord: signature.CoordOfOverlaps(overlaps, t.r),
+		TargetCoord: targetCoord,
 		Overlaps:    overlaps,
 		BaseMatch:   baseM,
 		BaseDist:    baseD,
 		Entries:     make([]EntryBound, len(t.entries)),
 	}
+	ties := make([]float64, len(t.entries))
 	for i, e := range t.entries {
 		bd := b.bounds(e.Coord)
 		pop := bits.OnesCount64(uint64(e.Coord))
@@ -98,14 +100,32 @@ func (t *Table) Explain(target txn.Transaction, f simfun.Func) Explanation {
 			DeltaMatch: bd.MatchOpt - baseM,
 			DeltaDist:  bd.DistOpt - baseD - t.r*pop,
 		}
+		ties[i] = coordSimilarity(f, targetCoord, e.Coord)
 	}
-	sort.Slice(ex.Entries, func(i, j int) bool {
-		if ex.Entries[i].Bound != ex.Entries[j].Bound {
-			return ex.Entries[i].Bound > ex.Entries[j].Bound
-		}
-		return ex.Entries[i].Coord < ex.Entries[j].Coord
-	})
+	SortVisitingOrder(ex.Entries, ties)
 	return ex
+}
+
+// SortVisitingOrder sorts explanation rows into the order a search
+// visits their entries: CompareRanked over each row's bound, its
+// tie-break key ties[i] (the coordinate similarity) and its
+// coordinate. ties is permuted along with rows.
+func SortVisitingOrder(rows []EntryBound, ties []float64) {
+	sort.Sort(visitingOrder{rows, ties})
+}
+
+type visitingOrder struct {
+	rows []EntryBound
+	ties []float64
+}
+
+func (o visitingOrder) Len() int { return len(o.rows) }
+func (o visitingOrder) Less(i, j int) bool {
+	return CompareRanked(o.rows[i].Bound, o.ties[i], o.rows[i].Coord, o.rows[j].Bound, o.ties[j], o.rows[j].Coord)
+}
+func (o visitingOrder) Swap(i, j int) {
+	o.rows[i], o.rows[j] = o.rows[j], o.rows[i]
+	o.ties[i], o.ties[j] = o.ties[j], o.ties[i]
 }
 
 // String renders the explanation's head (top 10 entries) for human

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"sigtable/internal/simfun"
 )
@@ -68,5 +69,44 @@ func TestExplanationString(t *testing.T) {
 	}
 	if table.NumEntries() > 10 && !strings.Contains(s, "more entries") {
 		t.Fatalf("String did not truncate:\n%s", s)
+	}
+}
+
+// TestExplainFollowsVisitingOrder: across the built-in similarity
+// functions, Explain's rows list the entries in exactly the order the
+// ranked entry source pops them for a search, ties in the bound broken
+// by coordinate similarity as the search breaks them.
+func TestExplainFollowsVisitingOrder(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		universe := 20 + rng.Intn(30)
+		d := randomDataset(rng, 100+rng.Intn(300), universe)
+		part := randomPartition(t, rng, universe, 3+rng.Intn(8))
+		tab := buildTestTable(t, d, part, BuildOptions{ActivationThreshold: 1 + rng.Intn(2)})
+		target := randomTarget(rng, universe)
+		for _, f := range allSimFuncs() {
+			ex := tab.Explain(target, f)
+			bound := f
+			if ta, ok := f.(simfun.TargetAware); ok {
+				bound = ta.Bind(target)
+			}
+			sc := tab.getScratch()
+			popped := popAll(tab.rankSource(sc, bound, tab.part.Overlaps(target, nil), coordOf(tab, target), ByOptimisticBound))
+			tab.putScratch(sc)
+			if len(popped) != len(ex.Entries) {
+				t.Logf("%T: %d rows, %d popped", f, len(ex.Entries), len(popped))
+				return false
+			}
+			for i, re := range popped {
+				if ex.Entries[i].Coord != re.e.Coord {
+					t.Logf("%T row %d: coordinate %#x, search visits %#x", f, i, ex.Entries[i].Coord, re.e.Coord)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }

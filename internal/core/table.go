@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,12 +85,6 @@ type BuildOptions struct {
 	// rebuilds invalidate globally by generation bump (see
 	// pager.DecodeCache).
 	DecodeCacheBytes int64
-	// Parallelism bounds the goroutines used by every build phase —
-	// supercoordinate computation, per-entry TID grouping and page
-	// writing. 0 selects GOMAXPROCS; 1 forces a serial build. The
-	// built table (entries, TID order, page layout) is identical for
-	// every value.
-	Parallelism int
 	// PrefetchWorkers controls the store's async prefetch pipeline
 	// (pager.Prefetcher), which needs a buffer pool to admit pages
 	// into. 0 auto-attaches 2 workers when the store is file-backed
@@ -114,21 +107,16 @@ type BuildOptions struct {
 // BuildOptions.FlushThreshold is zero.
 const DefaultFlushThreshold = 128
 
-// BuildStats reports how long each build phase took and how many
-// workers ran it — the wall-time breakdown /v1/stats and the
-// sigtable_build_* gauges expose.
+// BuildStats reports how long each build phase took — the wall-time
+// breakdown /v1/stats and the sigtable_build_* gauges expose.
 type BuildStats struct {
 	// Coords is the supercoordinate computation phase.
 	Coords time.Duration
-	// Group is the per-entry TID grouping (including the coordinate
-	// sort).
+	// Group is the per-entry TID grouping (the radix sort by
+	// coordinate).
 	Group time.Duration
-	// Write is the page staging + installing phase (zero in memory
-	// mode).
+	// Write is the page writing phase (zero in memory mode).
 	Write time.Duration
-	// Workers is the resolved worker count the build ran with (1 =
-	// serial).
-	Workers int
 }
 
 // Total is the summed wall time of the core build phases.
@@ -173,21 +161,20 @@ type Table struct {
 	part    *signature.Partition
 	r       int
 	data    *txn.Dataset
-	entries []*Entry                   // occupied supercoordinates, slot order
-	byCoord map[signature.Coord]int32  // coordinate -> slot
-	slotOf  []int32                    // TID -> slot, memoized at build/insert
-	store   *pager.Store               // nil in memory mode
-	dir     *directory                 // columnar activation index over the entries
-	live    int                        // non-deleted transactions
-	deleted []bool                     // tombstones by TID; nil until the first Delete
-	version uint64                     // snapshot version, bumped per mutation
+	entries []*Entry                  // occupied supercoordinates, slot order
+	byCoord map[signature.Coord]int32 // coordinate -> slot
+	slotOf  []int32                   // TID -> slot, memoized at build/insert
+	store   *pager.Store              // nil in memory mode
+	dir     *directory                // columnar activation index over the entries
+	live    int                       // non-deleted transactions
+	deleted []bool                    // tombstones by TID; nil until the first Delete
+	version uint64                    // snapshot version, bumped per mutation
 
 	flushThreshold int // resolved BuildOptions.FlushThreshold (<0 disables)
 
 	pageFile string // base path of a file-backed store ("" = in-memory pages)
 	pageGen  int    // rebuild generation, distinguishes derived file names
 
-	buildPar        int        // requested build parallelism, reused by Rebuild
 	prefetchWorkers int        // requested PrefetchWorkers, reused by Rebuild
 	buildStats      BuildStats // phase wall times of the constructing Build
 
@@ -220,7 +207,6 @@ func Build(data *txn.Dataset, part *signature.Partition, opt BuildOptions) (*Tab
 		r:               r,
 		data:            data,
 		live:            data.Len(),
-		buildPar:        opt.Parallelism,
 		prefetchWorkers: opt.PrefetchWorkers,
 		flushThreshold:  opt.FlushThreshold,
 		shared:          &tableShared{},
@@ -229,18 +215,16 @@ func Build(data *txn.Dataset, part *signature.Partition, opt BuildOptions) (*Tab
 		t.flushThreshold = DefaultFlushThreshold
 	}
 
-	workers := buildWorkers(data.Len(), opt.Parallelism)
-	t.buildStats.Workers = workers
-
 	start := time.Now()
-	coords := computeCoords(data, part, r, workers)
+	coords := make([]signature.Coord, data.Len())
+	for i, tr := range data.All() {
+		coords[i] = part.Coord(tr, r)
+	}
 	t.buildStats.Coords = time.Since(start)
 
 	start = time.Now()
-	t.entries = groupCoords(coords, workers)
-	// Deterministic entry order independent of insertion: slot order
-	// equals coordinate order at build time.
-	sort.Slice(t.entries, func(i, j int) bool { return t.entries[i].Coord < t.entries[j].Coord })
+	// Slot order equals coordinate order at build time.
+	t.entries = groupCoords(coords, part.K())
 	t.byCoord = make(map[signature.Coord]int32, len(t.entries))
 	t.slotOf = make([]int32, data.Len())
 	for i, e := range t.entries {
@@ -277,7 +261,7 @@ func Build(data *txn.Dataset, part *signature.Partition, opt BuildOptions) (*Tab
 		if opt.DecodeCacheBytes > 0 {
 			t.store.AttachDecodeCache(opt.DecodeCacheBytes)
 		}
-		if err := writeEntryLists(t.store, data, t.entries, workers); err != nil {
+		if err := writeEntryLists(t.store, data, t.entries); err != nil {
 			return nil, err
 		}
 		if w := resolvePrefetchWorkers(opt.PrefetchWorkers, opt.PageFile != "", opt.BufferPoolPages > 0); w > 0 {
@@ -286,6 +270,70 @@ func Build(data *txn.Dataset, part *signature.Partition, opt BuildOptions) (*Tab
 		t.buildStats.Write = time.Since(start)
 	}
 	return t, nil
+}
+
+// groupCoords files every TID under its supercoordinate's entry and
+// returns the entries in coordinate order, each with its TIDs in
+// ascending order. It is a least-significant-digit radix sort of the
+// TIDs by their k-bit coordinates, one stable counting pass per 8-bit
+// digit, starting from TID order; the entries then are the runs of
+// equal coordinates. Every entry's TID list is a sub-slice of one
+// shared array with cap == len, so an append to one entry (a snapshot
+// insert) reallocates instead of overwriting the next entry's TIDs.
+func groupCoords(coords []signature.Coord, k int) []*Entry {
+	n := len(coords)
+	tids, tmp := make([]txn.TID, n), make([]txn.TID, n)
+	for i := range tids {
+		tids[i] = txn.TID(i)
+	}
+	for shift := 0; shift < k; shift += 8 {
+		var start [256]int
+		for _, c := range coords {
+			start[byte(c>>shift)]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, id := range tids {
+			d := byte(coords[id] >> shift)
+			tmp[start[d]] = id
+			start[d]++
+		}
+		tids, tmp = tmp, tids
+	}
+	var entries []*Entry
+	for lo := 0; lo < n; {
+		c := coords[tids[lo]]
+		hi := lo + 1
+		for hi < n && coords[tids[hi]] == c {
+			hi++
+		}
+		entries = append(entries, &Entry{Coord: c, Count: hi - lo, tids: tids[lo:hi:hi]})
+		lo = hi
+	}
+	return entries
+}
+
+// writeEntryLists moves every entry's transactions onto store pages,
+// entry by entry in slot order, and seals the store before the first
+// read.
+func writeEntryLists(store *pager.Store, data *txn.Dataset, entries []*Entry) error {
+	defer store.Seal()
+	for _, e := range entries {
+		txns := make([]txn.Transaction, len(e.tids))
+		for j, id := range e.tids {
+			txns[j] = data.Get(id)
+		}
+		list, err := store.WriteList(e.tids, txns)
+		if err != nil {
+			return fmt.Errorf("core: writing entry %#x: %w", e.Coord, err)
+		}
+		e.lists = []pager.List{list}
+		e.tids = nil // transactions now live on "disk"
+	}
+	return nil
 }
 
 // resolvePrefetchWorkers applies the BuildOptions.PrefetchWorkers

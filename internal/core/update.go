@@ -102,16 +102,8 @@ func (t *Table) IsDeleted(id txn.TID) bool {
 // Rebuild reconstructs the table over the current live transactions,
 // compacting tombstones and (in disk mode) flushing overflow inserts to
 // pages. TIDs are reassigned densely in the returned table's dataset;
-// the receiver remains valid but stale. The rebuild reuses the build
-// parallelism the table was constructed with.
+// the receiver remains valid but stale.
 func (t *Table) Rebuild() (*Table, error) {
-	return t.RebuildParallel(t.buildPar)
-}
-
-// RebuildParallel is Rebuild with an explicit build parallelism
-// (0 = GOMAXPROCS, 1 = serial), the hook the serving layer's
-// /v1/rebuild endpoint threads its per-request worker count through.
-func (t *Table) RebuildParallel(parallelism int) (*Table, error) {
 	compact := txn.NewDataset(t.data.UniverseSize())
 	for i, tr := range t.data.All() {
 		if t.deleted != nil && t.deleted[i] {
@@ -119,7 +111,7 @@ func (t *Table) RebuildParallel(parallelism int) (*Table, error) {
 		}
 		compact.Append(tr)
 	}
-	opt := BuildOptions{ActivationThreshold: t.r, Parallelism: parallelism, PrefetchWorkers: t.prefetchWorkers, FlushThreshold: t.flushThreshold}
+	opt := BuildOptions{ActivationThreshold: t.r, PrefetchWorkers: t.prefetchWorkers, FlushThreshold: t.flushThreshold}
 	gen := 0
 	if t.store != nil {
 		opt.PageSize = t.store.PageSize()

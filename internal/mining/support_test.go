@@ -1,8 +1,13 @@
 package mining
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
+	"sigtable/internal/gen"
 	"sigtable/internal/txn"
 )
 
@@ -41,7 +46,7 @@ func TestCountItems(t *testing.T) {
 	if got := s.ItemSupport(1); got != 0.75 {
 		t.Fatalf("ItemSupport(1) = %v", got)
 	}
-	if s.Pair != nil {
+	if s.dense != nil || s.sparse != nil {
 		t.Fatal("pairs counted without CountPairs")
 	}
 }
@@ -55,7 +60,7 @@ func TestCountPairs(t *testing.T) {
 		{0, 1, 2}, {0, 2, 1}, {1, 2, 2}, {1, 3, 1}, {2, 3, 1}, {0, 3, 0}, {0, 4, 0},
 	}
 	for _, tc := range cases {
-		if got := s.Pair[PairKey(tc.a, tc.b)]; got != tc.want {
+		if got := s.PairCount(tc.b, tc.a); got != tc.want {
 			t.Errorf("pair (%d,%d) count = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
@@ -112,4 +117,65 @@ func TestItemSupports(t *testing.T) {
 	if sup[1] != 0.75 || sup[4] != 0.25 {
 		t.Fatalf("supports = %v", sup)
 	}
+}
+
+// TestDenseMatchesMapCounts: the dense triangular pair counter and the
+// map counter agree exactly — item counts, every pair's count and the
+// FrequentPairs slice — on the paper's T10.I6 data and on random small
+// universes with random sample caps.
+func TestDenseMatchesMapCounts(t *testing.T) {
+	g, err := gen.New(gen.Config{Seed: 1999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameCounts(g.Dataset(20_000), CountOptions{CountPairs: true}, 0.0005); err != nil {
+		t.Fatal(err)
+	}
+	prop := func(seed int64, sampleRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		universe := 2 + rng.Intn(60)
+		d := txn.NewDataset(universe)
+		for i := 200 + rng.Intn(400); i > 0; i-- {
+			items := make([]txn.Item, rng.Intn(12))
+			for j := range items {
+				items[j] = txn.Item(rng.Intn(universe))
+			}
+			d.Append(txn.New(items...))
+		}
+		opt := CountOptions{CountPairs: true}
+		if sampleRaw%3 == 0 {
+			opt.MaxSample = 1 + int(sampleRaw)
+		}
+		if err := sameCounts(d, opt, float64(sampleRaw%8)/100); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameCounts counts d densely and, with a zero budget, through the map,
+// and reports the first difference.
+func sameCounts(d *txn.Dataset, opt CountOptions, minSupport float64) error {
+	dense, sparse := count(d, opt, pairBudget), count(d, opt, 0)
+	if dense.dense == nil || sparse.sparse == nil {
+		return fmt.Errorf("budget did not select the counters: dense %v, map %v", dense.dense != nil, sparse.sparse != nil)
+	}
+	if dense.N != sparse.N || !slices.Equal(dense.Item, sparse.Item) {
+		return fmt.Errorf("item counts differ: N %d vs %d", dense.N, sparse.N)
+	}
+	for a := 0; a < d.UniverseSize(); a++ {
+		for b := a + 1; b < d.UniverseSize(); b++ {
+			if x, y := dense.PairCount(txn.Item(a), txn.Item(b)), sparse.PairCount(txn.Item(a), txn.Item(b)); x != y {
+				return fmt.Errorf("pair (%d,%d): dense %d, map %d", a, b, x, y)
+			}
+		}
+	}
+	if x, y := dense.FrequentPairs(minSupport), sparse.FrequentPairs(minSupport); !slices.Equal(x, y) {
+		return fmt.Errorf("FrequentPairs(%v) differ: %d vs %d pairs", minSupport, len(x), len(y))
+	}
+	return nil
 }

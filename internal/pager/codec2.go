@@ -120,8 +120,12 @@ func encodeFrame(tids []txn.TID, txns []txn.Transaction) []byte {
 	}
 
 	// Zigzag TID deltas (TIDs need not be sorted), record lengths, and
-	// item gaps, plus the width each series needs.
-	zt := make([]uint64, count)
+	// item gaps, plus the width each series needs. The deltas live on
+	// the stack: as a heap allocation, an 8-byte one-record array would
+	// share a tiny-allocator block with the list's page-ID slice and be
+	// retained with it for the life of the index.
+	var ztBuf [frameRecords]uint64
+	zt := ztBuf[:count]
 	prev := int64(minT)
 	tidW, lenW, itemW := 0, 0, 0
 	totalItems := 0

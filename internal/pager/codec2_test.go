@@ -98,76 +98,6 @@ func TestV2SharedPagesPackLists(t *testing.T) {
 	}
 }
 
-// TestV2StagedLayoutIdentity pins the v2 equivalent of the staged
-// discipline guarantee: staging concurrently and appending in order
-// produces byte-for-byte the serial WriteList layout.
-func TestV2StagedLayoutIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const nLists = 40
-	type input struct {
-		tids []txn.TID
-		txns []txn.Transaction
-	}
-	inputs := make([]input, nLists)
-	for i := range inputs {
-		tids, txns := randomTxns(rng, rng.Intn(120))
-		inputs[i] = input{tids, txns}
-	}
-
-	serial := NewStoreFormat(256, FormatV2)
-	serialLists := make([]List, nLists)
-	for i, in := range inputs {
-		l, err := serial.WriteList(in.tids, in.txns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialLists[i] = l
-	}
-	serial.Seal()
-
-	staged := NewStoreFormat(256, FormatV2)
-	st := make([]*StagedList, nLists)
-	done := make(chan error, nLists)
-	for i, in := range inputs {
-		go func(i int, in input) {
-			var err error
-			st[i], err = staged.StageList(in.tids, in.txns)
-			done <- err
-		}(i, in)
-	}
-	for range st {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range st {
-		got := staged.AppendStaged(st[i])
-		want := serialLists[i]
-		if got.Start != want.Start || got.Count != want.Count || len(got.Pages) != len(want.Pages) {
-			t.Fatalf("list %d handle = %+v, want %+v", i, got, want)
-		}
-		for j := range got.Pages {
-			if got.Pages[j] != want.Pages[j] {
-				t.Fatalf("list %d page %d = %d, want %d", i, j, got.Pages[j], want.Pages[j])
-			}
-		}
-	}
-	staged.Seal()
-
-	if serial.NumPages() != staged.NumPages() {
-		t.Fatalf("page counts differ: serial %d, staged %d", serial.NumPages(), staged.NumPages())
-	}
-	sb := serial.back.(*memBackend)
-	tb := staged.back.(*memBackend)
-	for id := 0; id < serial.NumPages(); id++ {
-		sp, _ := sb.read(PageID(id))
-		tp, _ := tb.read(PageID(id))
-		if string(sp) != string(tp) {
-			t.Fatalf("page %d bytes differ between serial and staged builds", id)
-		}
-	}
-}
-
 func TestV2ScanListFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, format := range []Format{FormatV1, FormatV2} {
@@ -347,14 +277,4 @@ func TestV2SealGatesTail(t *testing.T) {
 	if got := s.Stats().Writes; got != 1 {
 		t.Fatalf("second Seal wrote: Writes = %d", got)
 	}
-}
-
-func TestAppendStagedOnV1Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendStaged on a v1 store did not panic")
-		}
-	}()
-	s := NewStore(0)
-	s.AppendStaged(&StagedList{})
 }

@@ -4,98 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"sigtable/internal/txn"
 )
-
-// TestConcurrentStagedWriters hammers the staged write path under
-// -race: many goroutines stage lists concurrently, a single allocator
-// hands out contiguous ranges in list order, and installs run
-// concurrently — the write discipline the parallel index build uses.
-// Readers then verify every list decodes intact.
-func TestConcurrentStagedWriters(t *testing.T) {
-	for _, backend := range []string{"mem", "file"} {
-		t.Run(backend, func(t *testing.T) {
-			var s *Store
-			if backend == "file" {
-				var err error
-				s, err = NewFileStore(t.TempDir()+"/pages.dat", 256)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-			} else {
-				s = NewStore(256)
-			}
-
-			const numLists = 32
-			type batch struct {
-				tids []txn.TID
-				txns []txn.Transaction
-			}
-			batches := make([]batch, numLists)
-			for i := range batches {
-				rng := rand.New(rand.NewSource(int64(i)))
-				tids, txns := randomTxns(rng, 50+rng.Intn(100))
-				batches[i] = batch{tids, txns}
-			}
-
-			// Stage concurrently.
-			staged := make([]*StagedList, numLists)
-			var wg sync.WaitGroup
-			for i := range batches {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					st, err := s.StageList(batches[i].tids, batches[i].txns)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					staged[i] = st
-				}(i)
-			}
-			wg.Wait()
-
-			// Reserve sequentially (deterministic layout), install
-			// concurrently.
-			bases := make([]PageID, numLists)
-			for i, st := range staged {
-				bases[i] = s.ReservePages(st.NumPages())
-			}
-			lists := make([]List, numLists)
-			for i := range staged {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					lists[i] = s.InstallList(bases[i], staged[i])
-				}(i)
-			}
-			wg.Wait()
-
-			// Concurrent readers over all lists.
-			for i := range lists {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					j := 0
-					err := s.ScanList(lists[i], nil, func(id txn.TID, tr txn.Transaction) bool {
-						if id != batches[i].tids[j] || !tr.Equal(batches[i].txns[j]) {
-							t.Errorf("list %d record %d corrupt", i, j)
-							return false
-						}
-						j++
-						return true
-					})
-					if err != nil {
-						t.Errorf("list %d: %v", i, err)
-					}
-				}(i)
-			}
-			wg.Wait()
-		})
-	}
-}
 
 // TestConcurrentPoolHammer drives the sharded clock pool from many
 // goroutines at once — mixed Gets, Puts and stat reads — and checks

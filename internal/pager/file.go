@@ -64,24 +64,23 @@ func (s *Store) Close() error {
 func (b *fileBackend) slotSize() int64 { return int64(b.pageSize) + 4 }
 
 func (b *fileBackend) append(data []byte) (PageID, error) {
-	id, err := b.reserve(1)
+	id, err := b.reserve()
 	if err != nil {
 		return 0, err
 	}
 	return id, b.writeAt(id, data)
 }
 
-func (b *fileBackend) reserve(n int) (PageID, error) {
+func (b *fileBackend) reserve() (PageID, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	base := b.count
-	b.count += n
-	return PageID(base), nil
+	b.count++
+	return PageID(b.count - 1), nil
 }
 
 // writeAt fills a reserved slot. os.File.WriteAt is positional and
 // safe for concurrent use, so the mutex is only held for the bounds
-// check, letting installers on disjoint slots overlap their I/O.
+// check, letting reads of other slots overlap the write's I/O.
 func (b *fileBackend) writeAt(id PageID, data []byte) error {
 	if int(id) >= b.pageCount() {
 		return fmt.Errorf("pager: write to unreserved page %d", id)
@@ -96,7 +95,7 @@ func (b *fileBackend) writeAt(id PageID, data []byte) error {
 }
 
 // read fetches a slot with a positional ReadAt, holding no lock across
-// the I/O: concurrent readers — the parallel search and build workers —
+// the I/O: concurrent readers — parallel searches and prefetch workers —
 // issue overlapping preads instead of queueing on one mutex.
 func (b *fileBackend) read(id PageID) ([]byte, error) {
 	if int(id) >= b.pageCount() {

@@ -125,10 +125,10 @@ func TestFileStoreBadPath(t *testing.T) {
 }
 
 // TestFileStoreParallelReaders hammers one file-backed store with
-// concurrent scans and interleaved reserve/install writes to fresh
-// slots. With the positional pread/pwrite path there is no shared file
-// offset; under -race this pins down that only the count counter is
-// shared state.
+// concurrent scans while a single writer appends fresh lists with
+// WriteList — the discipline of the snapshot overflow flush. With the
+// positional pread/pwrite path there is no shared file offset; under
+// -race this pins down that only the count counter is shared state.
 func TestFileStoreParallelReaders(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.dat")
 	s, err := NewFileStore(path, 128)
@@ -148,11 +148,6 @@ func TestFileStoreParallelReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		lists[i], want[i] = l, tids
-	}
-
-	staged, err := s.StageList([]txn.TID{7}, []txn.Transaction{txn.New(1, 2, 3)})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
@@ -180,21 +175,22 @@ func TestFileStoreParallelReaders(t *testing.T) {
 			}
 		}(int64(40 + w))
 	}
-	// Two writers appending to fresh slots while the readers run.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				base := s.ReservePages(staged.NumPages())
-				l := s.InstallList(base, staged)
-				if err := s.ScanList(l, nil, func(id txn.TID, _ txn.Transaction) bool { return id == 7 }); err != nil {
-					errs <- err
-					return
-				}
+	// One writer appending fresh pages while the readers run.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 60; i++ {
+			l, err := s.WriteList([]txn.TID{7}, []txn.Transaction{txn.New(1, 2, 3)})
+			if err != nil {
+				errs <- err
+				return
 			}
-		}()
-	}
+			if err := s.ScanList(l, nil, func(id txn.TID, _ txn.Transaction) bool { return id == 7 }); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -90,9 +90,9 @@ type Stats struct {
 // file.
 type backend interface {
 	append(data []byte) (PageID, error)
-	// reserve extends the page space by n pages and returns the first
-	// new PageID; the pages hold no payload until writeAt fills them.
-	reserve(n int) (PageID, error)
+	// reserve extends the page space by one page and returns its
+	// PageID; the page holds no payload until writeAt fills it.
+	reserve() (PageID, error)
 	// writeAt fills a previously reserved page. Concurrent writeAt
 	// calls on distinct PageIDs are safe; writing the same page twice
 	// or racing a writeAt with a read of that page is not.
@@ -105,18 +105,10 @@ type backend interface {
 	numPages() int
 }
 
-// Store is a page store with read accounting. Two write disciplines
-// coexist:
-//
-//   - WriteList appends pages one list at a time and must not run
-//     concurrently with anything (the serial build path).
-//   - The staged API (StageList → ReservePages → InstallList) splits
-//     encoding from placement so many goroutines can write at once:
-//     StageList calls are independent, ReservePages hands out disjoint
-//     contiguous PageID ranges under the backend's lock, and
-//     InstallList calls on disjoint ranges run concurrently. This is
-//     how the parallel index build keeps every core busy while
-//     producing the exact page layout of a serial build.
+// Store is a page store with read accounting. WriteList appends pages
+// one list at a time and must not run concurrently with any other
+// write; the build and the snapshot overflow flush are its only
+// writers, each serialized by its caller.
 //
 // Reads (ScanList) may run concurrently with each other once the pages
 // they touch are written — the counters are atomic and the buffer pool
@@ -198,19 +190,18 @@ type memBackend struct {
 }
 
 func (m *memBackend) append(data []byte) (PageID, error) {
-	id, err := m.reserve(1)
+	id, err := m.reserve()
 	if err != nil {
 		return 0, err
 	}
 	return id, m.writeAt(id, data)
 }
 
-func (m *memBackend) reserve(n int) (PageID, error) {
+func (m *memBackend) reserve() (PageID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	base := len(m.pages)
-	m.pages = append(m.pages, make([][]byte, n)...)
-	return PageID(base), nil
+	m.pages = append(m.pages, nil)
+	return PageID(len(m.pages) - 1), nil
 }
 
 func (m *memBackend) writeAt(id PageID, data []byte) error {
@@ -480,9 +471,7 @@ type List struct {
 // encodeList serializes transactions (with their TIDs) into page
 // payloads. Encoding per record: uvarint TID, uvarint length, then
 // uvarint item deltas. A record never spans pages; a record larger
-// than the page size is rejected. Both write disciplines share this
-// encoder, which is what makes the staged layout byte-identical to
-// the serial one.
+// than the page size is rejected.
 func encodeList(pageSize int, tids []txn.TID, txns []txn.Transaction) ([][]byte, error) {
 	if len(tids) != len(txns) {
 		return nil, fmt.Errorf("pager: %d tids for %d transactions", len(tids), len(txns))
@@ -531,23 +520,43 @@ func encodeList(pageSize int, tids []txn.TID, txns []txn.Transaction) ([][]byte,
 
 // WriteList serializes transactions (with their TIDs) into pages and
 // returns the handle. With the v1 format it appends fresh dedicated
-// pages; with v2 it appends frames to the store's shared tail page
-// (call Seal before reading once all lists are written). Either way it
-// must not run concurrently with any other write; use the staged API
-// for concurrent encoding.
+// pages; with v2 it appends frames to the store's shared tail page,
+// opening fresh pages as frames overflow (call Seal before reading
+// once all lists are written). Either way it must not run
+// concurrently with any other write.
 func (s *Store) WriteList(tids []txn.TID, txns []txn.Transaction) (List, error) {
+	list := List{Count: len(txns)}
 	if s.format == FormatV2 {
-		st, err := s.StageList(tids, txns)
+		frames, logical, err := encodeFrames(s.pageSize, tids, txns)
 		if err != nil {
 			return List{}, err
 		}
-		return s.AppendStaged(st), nil
+		for _, fr := range frames {
+			if s.tail != nil && len(s.tail.buf)+len(fr) > s.pageSize {
+				s.flushTail()
+			}
+			if s.tail == nil {
+				id, err := s.back.reserve()
+				if err != nil {
+					panic(fmt.Sprintf("pager: reserving a page: %v", err))
+				}
+				s.tail = &tailPage{id: id, buf: make([]byte, 0, s.pageSize)}
+			}
+			if len(list.Pages) == 0 {
+				list.Start = len(s.tail.buf)
+			}
+			if n := len(list.Pages); n == 0 || list.Pages[n-1] != s.tail.id {
+				list.Pages = append(list.Pages, s.tail.id)
+			}
+			s.tail.buf = append(s.tail.buf, fr...)
+		}
+		s.bytesLogical.Add(logical)
+		return list, nil
 	}
 	pages, err := encodeList(s.pageSize, tids, txns)
 	if err != nil {
 		return List{}, err
 	}
-	list := List{Count: len(txns)}
 	for _, p := range pages {
 		list.Pages = append(list.Pages, s.appendPage(p))
 	}
@@ -555,75 +564,6 @@ func (s *Store) WriteList(tids []txn.TID, txns []txn.Transaction) (List, error) 
 		s.bytesLogical.Add(logicalSize(t))
 	}
 	return list, nil
-}
-
-// StagedList holds a transaction list encoded but not yet placed:
-// full page payloads under the v1 format, frame blobs under v2.
-// Staging is the CPU-heavy half of a list write, and StagedList values
-// are independent, so many goroutines can stage lists at once.
-type StagedList struct {
-	pages   [][]byte // v1: one payload per dedicated page
-	frames  [][]byte // v2: frames awaiting tail placement
-	count   int
-	logical int64
-}
-
-// NumPages reports how many dedicated pages the staged list occupies
-// once installed. Only meaningful under the v1 format — a v2 staged
-// list's page footprint is decided at AppendStaged time, when the
-// tail's fill level is known.
-func (st *StagedList) NumPages() int { return len(st.pages) }
-
-// StageList encodes a transaction list without allocating PageIDs.
-// Safe to call concurrently with other StageList, ReservePages and
-// InstallList calls.
-func (s *Store) StageList(tids []txn.TID, txns []txn.Transaction) (*StagedList, error) {
-	if s.format == FormatV2 {
-		frames, logical, err := encodeFrames(s.pageSize, tids, txns)
-		if err != nil {
-			return nil, err
-		}
-		return &StagedList{frames: frames, count: len(txns), logical: logical}, nil
-	}
-	pages, err := encodeList(s.pageSize, tids, txns)
-	if err != nil {
-		return nil, err
-	}
-	var logical int64
-	for _, t := range txns {
-		logical += logicalSize(t)
-	}
-	return &StagedList{pages: pages, count: len(txns), logical: logical}, nil
-}
-
-// AppendStaged places a v2 staged list's frames on the store's shared
-// tail page, opening fresh pages as frames overflow, and returns the
-// handle. Like WriteList, it is part of the serial write discipline:
-// the parallel build stages lists concurrently, then appends them from
-// a single goroutine in entry order, which is what makes the parallel
-// layout byte-identical to a serial build's. Call Seal before reading.
-func (s *Store) AppendStaged(st *StagedList) List {
-	if s.format != FormatV2 {
-		panic("pager: AppendStaged on a v1 store; use ReservePages+InstallList")
-	}
-	list := List{Count: st.count}
-	for _, fr := range st.frames {
-		if s.tail != nil && len(s.tail.buf)+len(fr) > s.pageSize {
-			s.flushTail()
-		}
-		if s.tail == nil {
-			s.tail = &tailPage{id: s.ReservePages(1), buf: make([]byte, 0, s.pageSize)}
-		}
-		if len(list.Pages) == 0 {
-			list.Start = len(s.tail.buf)
-		}
-		if n := len(list.Pages); n == 0 || list.Pages[n-1] != s.tail.id {
-			list.Pages = append(list.Pages, s.tail.id)
-		}
-		s.tail.buf = append(s.tail.buf, fr...)
-	}
-	s.bytesLogical.Add(st.logical)
-	return list
 }
 
 func (s *Store) flushTail() {
@@ -636,47 +576,12 @@ func (s *Store) flushTail() {
 }
 
 // Seal flushes the open tail page, if any. v2 writers must Seal after
-// the last WriteList/AppendStaged and before any scan; pages are
-// write-once, so a sealed store cannot take further list writes. A
-// no-op on v1 stores.
+// the last WriteList and before any scan; pages are write-once, so a
+// sealed store cannot take further list writes. A no-op on v1 stores.
 func (s *Store) Seal() {
 	if s.tail != nil {
 		s.flushTail()
 	}
-}
-
-// ReservePages allocates n contiguous PageIDs and returns the first.
-// Reservations from concurrent callers never overlap, but callers
-// wanting a deterministic layout (the parallel build does) should
-// reserve from a single goroutine in placement order.
-func (s *Store) ReservePages(n int) PageID {
-	id, err := s.back.reserve(n)
-	if err != nil {
-		panic(fmt.Sprintf("pager: reserving %d pages: %v", n, err))
-	}
-	return id
-}
-
-// InstallList writes a staged list's pages at the contiguous PageID
-// range [base, base+NumPages()) — which must have been obtained from
-// ReservePages — and returns the list handle. InstallList calls on
-// disjoint ranges are safe to run concurrently.
-func (s *Store) InstallList(base PageID, st *StagedList) List {
-	list := List{Count: st.count, Pages: make([]PageID, len(st.pages))}
-	for i, p := range st.pages {
-		if len(p) > s.pageSize {
-			panic(fmt.Sprintf("pager: page payload %d exceeds page size %d", len(p), s.pageSize))
-		}
-		id := base + PageID(i)
-		if err := s.back.writeAt(id, p); err != nil {
-			panic(fmt.Sprintf("pager: installing page %d: %v", id, err))
-		}
-		s.writes.Add(1)
-		s.bytesWritten.Add(int64(len(p)))
-		list.Pages[i] = id
-	}
-	s.bytesLogical.Add(st.logical)
-	return list
 }
 
 // ScanList decodes every transaction of a list, invoking fn for each.

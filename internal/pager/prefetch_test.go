@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -362,26 +363,39 @@ func TestPrefetcherReadahead(t *testing.T) {
 	}
 }
 
-// TestPrefetcherStopReleasesGoroutines: attach grows the goroutine
-// count by the worker total, stop (and Close, which implies it)
-// returns to baseline — the pager-layer leak check.
+// TestPrefetcherStopReleasesGoroutines: attach starts exactly the
+// requested workers, and stop (and Close, which implies it) ends them
+// all — the pager-layer leak check. Workers are counted by their stack
+// frame, not by the process goroutine total, which goroutines of
+// earlier tests still exiting would skew.
 func TestPrefetcherStopReleasesGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
 	s, _ := prefetchFixture(t, 4)
-	waitFor(t, "workers to start", func() bool { return runtime.NumGoroutine() >= base+4 })
+	waitFor(t, "workers to start", func() bool { return prefetchWorkers() == 4 })
 	s.StopPrefetcher()
-	waitFor(t, "workers to exit", func() bool { return runtime.NumGoroutine() <= base })
+	waitFor(t, "workers to exit", func() bool { return prefetchWorkers() == 0 })
 	if s.Prefetcher() != nil {
 		t.Fatal("prefetcher still attached after stop")
 	}
 	s.StopPrefetcher() // idempotent
 
 	s.AttachPrefetcher(2)
-	waitFor(t, "workers to restart", func() bool { return runtime.NumGoroutine() >= base+2 })
+	waitFor(t, "workers to restart", func() bool { return prefetchWorkers() == 2 })
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "close to reap workers", func() bool { return runtime.NumGoroutine() <= base })
+	waitFor(t, "close to reap workers", func() bool { return prefetchWorkers() == 0 })
+}
+
+// prefetchWorkers counts the live goroutines running a prefetch worker.
+func prefetchWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "pager.(*Prefetcher).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }
 
 // TestPrefetcherNoPool: without a buffer pool there is nowhere to stage

@@ -140,9 +140,6 @@ func newOpMetrics(reg *metrics.Registry, s *Server) *opMetrics {
 
 	// Build-phase wall times of the most recent build (initial
 	// BuildIndex, refreshed by /v1/rebuild).
-	reg.GaugeFunc("sigtable_build_workers", "resolved worker count of the last index build", func() float64 {
-		return float64(s.idx.BuildStats().Workers)
-	})
 	reg.GaugeFunc("sigtable_build_mining_seconds", "support-counting phase wall time of the last build", func() float64 {
 		return s.idx.BuildStats().Mining.Seconds()
 	})

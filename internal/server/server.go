@@ -101,10 +101,6 @@ type Options struct {
 	// (serial searches), the right default when throughput across
 	// concurrent requests matters more than single-query latency.
 	QueryParallelism int
-	// BuildParallelism is the rebuild worker count applied when a
-	// /v1/rebuild request does not carry its own "parallelism". 0
-	// selects GOMAXPROCS.
-	BuildParallelism int
 	// ReadaheadDepth is the SearchOptions.ReadaheadDepth applied to
 	// every search: how many upcoming ranked entries each query offers
 	// to the index's prefetch pipeline (when one is attached). 0 uses
@@ -326,15 +322,12 @@ type InsertResponse struct {
 	TIDs []sigtable.TID `json:"tids,omitempty"`
 }
 
-// RebuildRequest is the /v1/rebuild body. Parallelism is the build
-// worker count: 0 falls back to the server's configured default
-// (which itself defaults to GOMAXPROCS). Shard, on a sharded engine,
+// RebuildRequest is the /v1/rebuild body. Shard, on a sharded engine,
 // compacts only that shard — queries on the other shards keep running
 // — while omitting it compacts the whole engine; on a single-table
 // index setting Shard is an error.
 type RebuildRequest struct {
-	Parallelism int  `json:"parallelism"`
-	Shard       *int `json:"shard,omitempty"`
+	Shard *int `json:"shard,omitempty"`
 }
 
 // RebuildResponse is the /v1/rebuild reply. Shard echoes a
@@ -342,7 +335,6 @@ type RebuildRequest struct {
 type RebuildResponse struct {
 	Live       int     `json:"live"`
 	Entries    int     `json:"entries"`
-	Workers    int     `json:"workers"`
 	DurationMS float64 `json:"durationMs"`
 	Shard      *int    `json:"shard,omitempty"`
 }
@@ -394,7 +386,6 @@ type ExplainResponse struct {
 // BuildInfo is the /v1/stats build section: the wall-time breakdown
 // of the most recent index construction (BuildIndex or /v1/rebuild).
 type BuildInfo struct {
-	Workers     int     `json:"workers"`
 	MiningMS    float64 `json:"miningMs"`
 	PartitionMS float64 `json:"partitionMs"`
 	CoordsMS    float64 `json:"coordsMs"`
@@ -645,7 +636,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Entries:      s.idx.NumEntries(),
 		Universe:     s.data.UniverseSize(),
 		Build: BuildInfo{
-			Workers:     bs.Workers,
 			MiningMS:    ms(bs.Mining),
 			PartitionMS: ms(bs.Partition),
 			CoordsMS:    ms(bs.Coords),
@@ -1008,14 +998,6 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength != 0 && !s.decode(w, r, &req) {
 		return
 	}
-	if req.Parallelism < 0 {
-		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, "parallelism %d must be non-negative", req.Parallelism)
-		return
-	}
-	par := req.Parallelism
-	if par == 0 {
-		par = s.opt.BuildParallelism
-	}
 	start := time.Now()
 	if req.Shard != nil {
 		sx, ok := s.idx.(*sigtable.ShardedIndex)
@@ -1023,11 +1005,11 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusBadRequest, CodeBadRequest, "index is not sharded; omit the shard field")
 			return
 		}
-		if err := sx.CompactShard(*req.Shard, par); err != nil {
+		if err := sx.CompactShard(*req.Shard); err != nil {
 			s.writeErr(w, http.StatusBadRequest, CodeBadRequest, "rebuild: %v", err)
 			return
 		}
-	} else if err := s.idx.Compact(par); err != nil {
+	} else if err := s.idx.Compact(); err != nil {
 		s.writeErr(w, http.StatusInternalServerError, CodeBadRequest, "rebuild: %v", err)
 		return
 	}
@@ -1037,7 +1019,6 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, RebuildResponse{
 		Live:       s.idx.Live(),
 		Entries:    s.idx.NumEntries(),
-		Workers:    s.idx.BuildStats().Workers,
 		DurationMS: float64(d.Nanoseconds()) / 1e6,
 		Shard:      req.Shard,
 	})

@@ -909,3 +909,34 @@ func TestRebuildShardFieldOnSingleIndex(t *testing.T) {
 		t.Fatalf("single-table stats has shards section: %+v", st.Shards)
 	}
 }
+
+// TestHugeK: a k far beyond the index size is a valid request that
+// returns at most every live transaction; it must not make the server
+// reserve memory for k candidates.
+func TestHugeK(t *testing.T) {
+	const k = 4_000_000_000
+	single, data := newTestServer(t, Options{})
+	sharded, _ := newShardedServer(t, 2, Options{})
+	targets := [][]sigtable.Item{data.Get(5), data.Get(9)}
+	for name, ts := range map[string]*httptest.Server{"single": single, "sharded": sharded} {
+		var q QueryResponse
+		if code := post(t, ts.URL+"/v1/query", QueryRequest{Items: targets[0], F: "cosine", K: k}, &q); code != http.StatusOK || len(q.Neighbors) == 0 || len(q.Neighbors) > data.Len() {
+			t.Fatalf("%s /v1/query: status %d, %d neighbors", name, code, len(q.Neighbors))
+		}
+		var m MultiResponse
+		if code := post(t, ts.URL+"/v1/multi", MultiRequest{Targets: targets, F: "cosine", K: k}, &m); code != http.StatusOK || len(m.Neighbors) == 0 || len(m.Neighbors) > data.Len() {
+			t.Fatalf("%s /v1/multi: status %d, %d neighbors", name, code, len(m.Neighbors))
+		}
+		for _, shared := range []bool{false, true} {
+			var b BatchResponse
+			if code := post(t, ts.URL+"/v1/batch", BatchRequest{Targets: targets, F: "cosine", K: k, SharedScan: shared}, &b); code != http.StatusOK || len(b.Results) != len(targets) {
+				t.Fatalf("%s /v1/batch shared=%v: status %d, %d results", name, shared, code, len(b.Results))
+			}
+			for i, r := range b.Results {
+				if len(r.Neighbors) == 0 || len(r.Neighbors) > data.Len() {
+					t.Fatalf("%s /v1/batch shared=%v slot %d: %d neighbors", name, shared, i, len(r.Neighbors))
+				}
+			}
+		}
+	}
+}

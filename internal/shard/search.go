@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -446,9 +445,11 @@ func (x *Index) Explain(target txn.Transaction, f simfun.Func) core.Explanation 
 		BaseDist:    baseD,
 		Entries:     make([]core.EntryBound, 0, len(counts)),
 	}
+	ties := make([]float64, 0, len(counts))
 	for c, n := range counts {
 		bd := plan.Bounds(c)
-		opt, _, _ := plan.Rank(c, core.ByOptimisticBound)
+		opt, _, tie := plan.Rank(c, core.ByOptimisticBound)
+		ties = append(ties, tie)
 		pop := bits.OnesCount64(uint64(c))
 		ex.Entries = append(ex.Entries, core.EntryBound{
 			Coord:      c,
@@ -461,11 +462,6 @@ func (x *Index) Explain(target txn.Transaction, f simfun.Func) core.Explanation 
 			DeltaDist:  bd.DistOpt - baseD - x.r*pop,
 		})
 	}
-	sort.Slice(ex.Entries, func(i, j int) bool {
-		if ex.Entries[i].Bound != ex.Entries[j].Bound {
-			return ex.Entries[i].Bound > ex.Entries[j].Bound
-		}
-		return ex.Entries[i].Coord < ex.Entries[j].Coord
-	})
+	core.SortVisitingOrder(ex.Entries, ties)
 	return ex
 }

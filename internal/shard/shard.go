@@ -60,9 +60,6 @@ type Options struct {
 	// PageFormat selects the on-page encoding for every shard store
 	// (zero = the core default, the block-compressed v2 layout).
 	PageFormat pager.Format
-	// BuildParallelism bounds each shard build's workers (shards
-	// themselves build sequentially).
-	BuildParallelism int
 	// PrefetchWorkers mirrors core.BuildOptions.PrefetchWorkers for
 	// every shard store: 0 auto-attaches prefetch workers on
 	// file-backed pooled shards, positive forces that many per shard,
@@ -223,7 +220,6 @@ func (x *Index) buildOptions(i, gen int) core.BuildOptions {
 		PageFormat:          x.opt.PageFormat,
 		BufferPoolPages:     x.poolPages,
 		DecodeCacheBytes:    x.decodeBytes,
-		Parallelism:         x.opt.BuildParallelism,
 		PrefetchWorkers:     x.opt.PrefetchWorkers,
 		FlushThreshold:      x.opt.FlushThreshold,
 	}
@@ -413,15 +409,14 @@ func (x *Index) Delete(g txn.TID) bool {
 }
 
 // CompactShard rebuilds one shard in place over its live transactions,
-// compacting tombstones and flushing insert overflows to pages, with
-// an explicit build parallelism (0 = GOMAXPROCS). Unlike a single
-// index's Compact, global TIDs are PRESERVED: the shard layer remaps
-// its local TIDs and the rest of the index — and every query result —
-// is unaffected. Only the routing lock and this shard's writer mutex
-// are held; queries everywhere keep running, including readers mid-
-// scan on the old snapshot, which is retired (kept open) rather than
-// closed until Close.
-func (x *Index) CompactShard(i, parallelism int) error {
+// compacting tombstones and flushing insert overflows to pages. Unlike
+// a single index's Compact, global TIDs are PRESERVED: the shard layer
+// remaps its local TIDs and the rest of the index — and every query
+// result — is unaffected. Only the routing lock and this shard's
+// writer mutex are held; queries everywhere keep running, including
+// readers mid-scan on the old snapshot, which is retired (kept open)
+// rather than closed until Close.
+func (x *Index) CompactShard(i int) error {
 	if i < 0 || i >= len(x.shards) {
 		return fmt.Errorf("shard: shard %d out of range [0, %d)", i, len(x.shards))
 	}
@@ -435,7 +430,7 @@ func (x *Index) CompactShard(i, parallelism int) error {
 
 	st := s.load()
 	old := st.table
-	nt, err := old.RebuildParallel(parallelism)
+	nt, err := old.Rebuild()
 	if err != nil {
 		return fmt.Errorf("shard: compacting shard %d: %w", i, err)
 	}
@@ -473,7 +468,7 @@ func (x *Index) retire(s *shard, old *core.Table) {
 // queue, but queries keep running on the old snapshots throughout; all
 // new tables are built before any state is swapped, so a build error
 // leaves the index untouched.
-func (x *Index) Rebalance(parallelism int) error {
+func (x *Index) Rebalance() error {
 	x.route.mu.Lock()
 	defer x.route.mu.Unlock()
 	for _, s := range x.shards {
@@ -504,9 +499,6 @@ func (x *Index) Rebalance(parallelism int) error {
 	sort.Slice(all, func(i, j int) bool { return all[i].g < all[j].g })
 
 	S := len(x.shards)
-	savedPar := x.opt.BuildParallelism
-	x.opt.BuildParallelism = parallelism
-	defer func() { x.opt.BuildParallelism = savedPar }()
 
 	newTables := make([]*core.Table, S)
 	newGlobals := make([][]txn.TID, S)
@@ -675,8 +667,7 @@ func (x *Index) Validate() error {
 	return nil
 }
 
-// CoreBuildStats aggregates the per-shard build phase times (summed;
-// workers is the max).
+// CoreBuildStats aggregates the per-shard build phase times (summed).
 func (x *Index) CoreBuildStats() core.BuildStats {
 	var agg core.BuildStats
 	for _, s := range x.shards {
@@ -684,9 +675,6 @@ func (x *Index) CoreBuildStats() core.BuildStats {
 		agg.Coords += bs.Coords
 		agg.Group += bs.Group
 		agg.Write += bs.Write
-		if bs.Workers > agg.Workers {
-			agg.Workers = bs.Workers
-		}
 	}
 	return agg
 }

@@ -418,7 +418,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 				return
 			default:
 			}
-			if err := x.CompactShard(i%x.Shards(), 1); err != nil {
+			if err := x.CompactShard(i % x.Shards()); err != nil {
 				errc <- err
 				return
 			}
@@ -460,7 +460,7 @@ func TestCompactShardPreservesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < x.Shards(); i++ {
-		if err := x.CompactShard(i, 0); err != nil {
+		if err := x.CompactShard(i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -495,7 +495,7 @@ func TestRebalancePreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := x.Rebalance(0); err != nil {
+	if err := x.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
 	if err := x.Validate(); err != nil {
@@ -571,7 +571,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 	// After compaction the TID space has a hole: still unpersistable,
 	// loudly.
-	if err := x.CompactShard(0, 1); err != nil {
+	if err := x.CompactShard(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := x.WriteTo(&bytes.Buffer{}); err == nil {

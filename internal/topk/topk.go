@@ -23,13 +23,18 @@ type Heap struct {
 	items candHeap
 }
 
+// maxPrealloc caps the slots New reserves up front. k may come from a
+// request and far exceed the candidates a search ever offers, so the
+// heap grows with its offers beyond this.
+const maxPrealloc = 64
+
 // New creates a Heap retaining the best k candidates. k must be
 // positive.
 func New(k int) *Heap {
 	if k <= 0 {
 		panic("topk.New: k must be positive")
 	}
-	return &Heap{k: k, items: make(candHeap, 0, k)}
+	return &Heap{k: k, items: make(candHeap, 0, min(k, maxPrealloc))}
 }
 
 // K reports the configured capacity.

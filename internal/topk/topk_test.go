@@ -108,3 +108,18 @@ func TestAgainstSortReference(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeK: a k far beyond memory (it may come from a request) must
+// not be preallocated; the heap holds only what it is offered.
+func TestHugeK(t *testing.T) {
+	h := New(1 << 40)
+	for i := 0; i < 100; i++ {
+		h.Offer(txn.TID(i), float64(i%7))
+	}
+	if h.Len() != 100 || h.Full() || h.K() != 1<<40 {
+		t.Fatalf("Len %d Full %v K %d", h.Len(), h.Full(), h.K())
+	}
+	if res := h.Results(); len(res) != 100 || res[0].Value != 6 || res[99].Value != 0 {
+		t.Fatalf("results = %v", res)
+	}
+}

@@ -223,9 +223,8 @@ func (ix *Index) Live() int {
 
 // Rebuild compacts tombstones and insert overflows into a fresh index
 // over a fresh, densely renumbered dataset. The original index remains
-// valid (and queryable) afterwards. It reuses the build parallelism
-// the table was constructed with; see Compact for the in-place
-// variant with an explicit worker count.
+// valid (and queryable) afterwards; see Compact for the in-place
+// variant.
 func (ix *Index) Rebuild() (*Index, error) {
 	table, err := ix.load().Rebuild()
 	if err != nil {
@@ -239,17 +238,16 @@ func (ix *Index) Rebuild() (*Index, error) {
 }
 
 // Compact rebuilds the index in place over its live transactions,
-// compacting tombstones and flushing insert overflows to pages, with
-// an explicit build parallelism (0 = GOMAXPROCS, 1 = serial). The
+// compacting tombstones and flushing insert overflows to pages. The
 // rebuild runs under the writer mutex — concurrent mutations queue
 // behind it — but queries never notice: they keep scanning the old
 // snapshot until the rebuilt table is published with one atomic store.
 // TIDs are renumbered densely, exactly as by Rebuild.
-func (ix *Index) Compact(parallelism int) error {
+func (ix *Index) Compact() error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
 	old := ix.load()
-	table, err := old.RebuildParallel(parallelism)
+	table, err := old.Rebuild()
 	if err != nil {
 		return err
 	}

@@ -125,7 +125,7 @@ func TestPrefetchHammer(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < compactions; i++ {
 			time.Sleep(5 * time.Millisecond)
-			if err := idx.Compact(2); err != nil {
+			if err := idx.Compact(); err != nil {
 				fail <- err
 				return
 			}
@@ -218,7 +218,7 @@ func TestPrefetchCloseReleasesGoroutines(t *testing.T) {
 	// accumulate goroutines.
 	withWorkers := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		if err := idx.Compact(1); err != nil {
+		if err := idx.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		run(rng, idx)

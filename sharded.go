@@ -29,7 +29,7 @@ type Engine interface {
 	Insert(t Transaction) TID
 	InsertBatch(ts []Transaction) []TID
 	Delete(id TID) bool
-	Compact(parallelism int) error
+	Compact() error
 
 	K() int
 	Len() int
@@ -108,7 +108,6 @@ func NewSharded(d *Dataset, opt IndexOptions) (*ShardedIndex, error) {
 		BufferPoolPages:     opt.BufferPoolPages,
 		DecodeCacheBytes:    opt.DecodeCacheBytes,
 		PageFormat:          format,
-		BuildParallelism:    opt.BuildParallelism,
 		PrefetchWorkers:     opt.PrefetchWorkers,
 		FlushThreshold:      opt.FlushThreshold,
 	})
@@ -228,15 +227,15 @@ func (sx *ShardedIndex) Delete(id TID) bool { return sx.x.Delete(id) }
 // compacting tombstones and flushing insert overflows. Unlike
 // Index.Compact, global TIDs are PRESERVED — the shard remaps its
 // local TIDs — and queries on the other shards keep running.
-func (sx *ShardedIndex) CompactShard(i, parallelism int) error {
-	return sx.x.CompactShard(i, parallelism)
+func (sx *ShardedIndex) CompactShard(i int) error {
+	return sx.x.CompactShard(i)
 }
 
 // Compact compacts every shard in turn (see CompactShard). Global
 // TIDs are preserved; between shards, queries proceed normally.
-func (sx *ShardedIndex) Compact(parallelism int) error {
+func (sx *ShardedIndex) Compact() error {
 	for i := 0; i < sx.x.Shards(); i++ {
-		if err := sx.x.CompactShard(i, parallelism); err != nil {
+		if err := sx.x.CompactShard(i); err != nil {
 			return err
 		}
 	}
@@ -248,8 +247,8 @@ func (sx *ShardedIndex) Compact(parallelism int) error {
 // contiguous runs and rebuilds every shard — the heavyweight fix for
 // shards drifting apart after skewed inserts and deletes. Global TIDs
 // are preserved; the whole index is locked for the duration.
-func (sx *ShardedIndex) Rebalance(parallelism int) error {
-	if err := sx.x.Rebalance(parallelism); err != nil {
+func (sx *ShardedIndex) Rebalance() error {
+	if err := sx.x.Rebalance(); err != nil {
 		return err
 	}
 	sx.refreshCoreStats()

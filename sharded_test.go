@@ -287,7 +287,7 @@ func TestShardedMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sharded.Compact(0); err != nil {
+	if err := sharded.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	after, err := sharded.Query(context.Background(), target, Cosine{}, SearchOptions{K: 5})
@@ -326,7 +326,7 @@ func TestShardedMaintenance(t *testing.T) {
 		t.Fatalf("shard live sum %d != Live() %d", totalLive, sharded.Live())
 	}
 
-	if err := sharded.Rebalance(0); err != nil {
+	if err := sharded.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
 	stats = sharded.ShardStats()

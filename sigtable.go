@@ -148,7 +148,7 @@ const (
 	// PageFormatV1 is the original layout: each transaction list owns a
 	// private page chain of varint-encoded records.
 	PageFormatV1 PageFormat = PageFormat(pager.FormatV1)
-	// PageFormatV2 is the block-compressed layout: lists are staged as
+	// PageFormatV2 is the block-compressed layout: lists are encoded as
 	// fixed-size frames (delta + bit-packed TIDs and item gaps) and
 	// packed back to back across shared pages.
 	PageFormatV2 PageFormat = PageFormat(pager.FormatV2)
@@ -216,11 +216,6 @@ type IndexOptions struct {
 	// writes far fewer pages and scans through a fused decode-and-score
 	// kernel. Ignored in memory mode (PageSize == 0).
 	PageFormat PageFormat
-	// BuildParallelism bounds the goroutines used by the build
-	// pipeline: support counting, supercoordinate computation, TID
-	// grouping and page writing. 0 selects GOMAXPROCS; 1 forces a
-	// serial build. The resulting index is identical for every value.
-	BuildParallelism int
 	// Shards selects the sharded engine: NewSharded partitions the
 	// transactions across this many sub-indexes (0 and 1 both mean a
 	// single shard). BuildIndex rejects values above 1 — a sharded
@@ -315,11 +310,8 @@ type BuildStats struct {
 	Coords time.Duration
 	// Group is the per-entry TID grouping phase.
 	Group time.Duration
-	// Write is the page staging and installing phase (zero in memory
-	// mode).
+	// Write is the page writing phase (zero in memory mode).
 	Write time.Duration
-	// Workers is the resolved build worker count (1 = serial).
-	Workers int
 }
 
 // Total is the summed wall time across all build phases.
@@ -329,7 +321,7 @@ func (s BuildStats) Total() time.Duration {
 
 // coreStats folds a core build's phase times into the index stats.
 func (s *BuildStats) coreStats(cs core.BuildStats) {
-	s.Coords, s.Group, s.Write, s.Workers = cs.Coords, cs.Group, cs.Write, cs.Workers
+	s.Coords, s.Group, s.Write = cs.Coords, cs.Group, cs.Write
 }
 
 // BuildStats reports the construction wall times of the most recent
@@ -368,7 +360,6 @@ func BuildIndex(d *Dataset, opt IndexOptions) (*Index, error) {
 		BufferPoolPages:     opt.BufferPoolPages,
 		DecodeCacheBytes:    opt.DecodeCacheBytes,
 		PageFormat:          format,
-		Parallelism:         opt.BuildParallelism,
 		PrefetchWorkers:     opt.PrefetchWorkers,
 		FlushThreshold:      opt.FlushThreshold,
 	})
@@ -397,9 +388,8 @@ func minePartition(d *Dataset, opt *IndexOptions) (*signature.Partition, int, Bu
 	} else {
 		start := time.Now()
 		counts := mining.Count(d, mining.CountOptions{
-			MaxSample:   opt.SupportSample,
-			CountPairs:  true,
-			Parallelism: opt.BuildParallelism,
+			MaxSample:  opt.SupportSample,
+			CountPairs: true,
 		})
 		pairs := counts.FrequentPairs(opt.MinPairSupport)
 		stats.Mining = time.Since(start)

@@ -348,7 +348,7 @@ func TestSnapshotHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < compactions; i++ {
-			if err := idx.Compact(1); err != nil {
+			if err := idx.Compact(); err != nil {
 				fail <- err
 				return
 			}
