@@ -66,7 +66,7 @@ staticcheck:
 
 # Machine-readable micro-benchmarks (the numbers BENCH_PR<n>.json
 # archives): per-query latency/allocations, the sharded engine's
-# scatter-gather at 1/4/8 shards (memory and disk), independent vs
+# merged-ladder search at 1/4/8 shards (memory and disk), independent vs
 # shared-scan batches, the page-codec scan and fused-score kernels (v1
 # vs v2), the build pipeline in memory and on disk, support counting, the
 # buffer-pool hammer, and the mixed read/write workload comparing the

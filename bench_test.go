@@ -584,11 +584,12 @@ func shardedSetup(b *testing.B, name string, S int, disk bool) *ShardedIndex {
 // BenchmarkShardedQuery runs the exact k-NN search against the sharded
 // engine at S ∈ {1, 4, 8}, in memory and against per-shard page files.
 // The answers are byte-identical to the single table at every shard
-// count (the property tests prove it), so this measures only what the
-// scatter-gather costs and buys: per-shard scan workers against the
-// coordinator's merge overhead. 1shards is the degenerate case — one
-// shard behind the routing layer — and bounds the engine's fixed tax
-// over a plain Index.
+// count (the property tests prove it), so this measures only what
+// sharding costs: ranking S directories and merging their ladders in
+// one serial search loop, and on disk S pools and prefetchers in place
+// of one. 1shards is the degenerate case — one shard behind the
+// routing layer — and bounds the engine's fixed tax over a plain Index
+// (compare BenchmarkQuerySignatureTableNN).
 func BenchmarkShardedQuery(b *testing.B) {
 	m := microSetup(b)
 	for _, disk := range []bool{false, true} {

@@ -21,10 +21,12 @@
 // (0 = adaptive). Results are identical with and without prefetch.
 //
 // With -shards N > 1 the server runs the sharded engine: transactions
-// are partitioned across N sub-indexes, queries scatter-gather across
-// them (results are byte-identical to the single index), and inserts
-// or per-shard rebuilds lock only their shard. /v1/stats gains a
-// per-shard section and /v1/metrics the sigtable_shard_* family.
+// are partitioned across N sub-indexes, each owning whole
+// supercoordinates, and a query runs one search loop over the merged
+// shard ladders (results are byte-identical to the single index);
+// mutations and per-shard rebuilds never block queries. /v1/stats
+// gains a per-shard section and /v1/metrics the sigtable_shard_*
+// family.
 //
 // Endpoints (see internal/server for bodies):
 //
@@ -72,7 +74,7 @@ func main() {
 		decodeCache   = flag.Int64("decode-cache-bytes", 0, "hot-entry decoded-list cache budget in bytes (needs -page-size, 0 disables)")
 		prefetchW     = flag.Int("prefetch-workers", 0, "async prefetch worker goroutines per store (needs -pool-pages; 0 = auto: 2 with -page-file, off otherwise; negative disables)")
 		readahead     = flag.Int("readahead", 0, "ranked entries offered ahead to the prefetch pipeline per search (0 = adaptive, negative disables)")
-		shards        = flag.Int("shards", 1, "shard the index across this many sub-indexes (1 = single table)")
+		shards        = flag.Int("shards", 1, "shard the index across this many sub-indexes, each owning whole supercoordinates (1 = single table)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "shutdown grace period for in-flight requests")
 		quiet         = flag.Bool("quiet", false, "disable per-request access logging")
 	)

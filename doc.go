@@ -173,16 +173,18 @@
 // NewSharded (or IndexOptions.Shards via the sigserver -shards flag)
 // builds a ShardedIndex: the dataset is partitioned across S
 // sub-indexes, each with its own signature table, page store and
-// decode cache, and every query scatter-gathers across them. The
-// merged result is byte-identical to the single table's — neighbors,
-// cost counters and certificate, which the test suite asserts by
-// property testing — while Insert, Delete and per-shard compaction
-// take only the owning shard's writer mutex and publish a per-shard
-// snapshot, so mutations never block queries on any shard. Both
-// engines implement the Engine
+// decode cache. A shard owns whole supercoordinates, so every query
+// runs the single table's serial search loop over the merge of the
+// shards' ranked entries, and its result is byte-identical to the
+// single table's — neighbors, cost counters and certificate, which the
+// test suite asserts by property testing. The shards' states are
+// published together as one immutable vector, so a query sees one
+// consistent set of shards and Insert, Delete, per-shard compaction
+// and Rebalance never block it. Both engines implement the Engine
 // interface; ReadEngine loads either kind from its persisted form,
 // which carries a versioned header (headerless seed-era files still
-// load as single indexes).
+// load as single indexes, and sharded images whose shards share
+// coordinates are rebuilt into coordinate-owned shards).
 //
 // The HTTP serving layer (internal/server, cmd/sigserver) builds on
 // this: every request runs under a configurable deadline, and a

@@ -19,7 +19,7 @@ import (
 // calls per entry — and the results are heapified. After the I/O path
 // was crushed (block-compressed pages, coalesced preads), that sweep is
 // the dominant per-query CPU cost on the memory path, repeated per
-// target in the batch engine and per shard worker in the sharded one.
+// target in the batch engine and per shard in the sharded one.
 //
 // The directory turns the sweep inside out. Instead of asking, per
 // entry, "which of the target's signatures does this coordinate

@@ -51,8 +51,7 @@ type Explanation struct {
 
 // BoundBase computes the bound decomposition's baseline terms from the
 // target's per-signature overlap counts: baseM = Σ_j min(r_j, r-1),
-// baseD = Σ_j max(0, r_j-r+1). Exported so the sharded Explain fills
-// the same decomposition fields a single table's does.
+// baseD = Σ_j max(0, r_j-r+1).
 func BoundBase(overlaps []int, r int) (baseM, baseD int) {
 	for _, rj := range overlaps {
 		if rj < r {
@@ -71,46 +70,60 @@ func BoundBase(overlaps []int, r int) (baseM, baseD int) {
 // steep bound drop-off (most entries prunable once one strong
 // candidate is found).
 func (t *Table) Explain(target txn.Transaction, f simfun.Func) Explanation {
+	return ExplainParts([]*Table{t}, target, f)
+}
+
+// ExplainParts is Explain over the union of the tables' entries — a
+// sharded index's parts (parts.go), which share a partition and
+// activation threshold.
+func ExplainParts(tables []*Table, target txn.Transaction, f simfun.Func) Explanation {
+	t0 := tables[0]
 	if ta, ok := f.(simfun.TargetAware); ok {
 		f = ta.Bind(target)
 	}
-	overlaps := t.part.Overlaps(target, nil)
-	b := t.newBounder(overlaps)
+	overlaps := t0.part.Overlaps(target, nil)
+	b := t0.newBounder(overlaps)
 
-	baseM, baseD := BoundBase(overlaps, t.r)
-	targetCoord := signature.CoordOfOverlaps(overlaps, t.r)
+	baseM, baseD := BoundBase(overlaps, t0.r)
+	targetCoord := signature.CoordOfOverlaps(overlaps, t0.r)
+	n := 0
+	for _, t := range tables {
+		n += len(t.entries)
+	}
 	ex := Explanation{
 		TargetCoord: targetCoord,
 		Overlaps:    overlaps,
 		BaseMatch:   baseM,
 		BaseDist:    baseD,
-		Entries:     make([]EntryBound, len(t.entries)),
+		Entries:     make([]EntryBound, 0, n),
 	}
-	ties := make([]float64, len(t.entries))
-	for i, e := range t.entries {
-		bd := b.bounds(e.Coord)
-		pop := bits.OnesCount64(uint64(e.Coord))
-		ex.Entries[i] = EntryBound{
-			Coord:      e.Coord,
-			Count:      e.Count,
-			MatchOpt:   bd.MatchOpt,
-			DistOpt:    bd.DistOpt,
-			Bound:      f.Score(bd.MatchOpt, bd.DistOpt),
-			ActiveBits: pop,
-			DeltaMatch: bd.MatchOpt - baseM,
-			DeltaDist:  bd.DistOpt - baseD - t.r*pop,
+	ties := make([]float64, 0, n)
+	for _, t := range tables {
+		for _, e := range t.entries {
+			bd := b.bounds(e.Coord)
+			pop := bits.OnesCount64(uint64(e.Coord))
+			ex.Entries = append(ex.Entries, EntryBound{
+				Coord:      e.Coord,
+				Count:      e.Count,
+				MatchOpt:   bd.MatchOpt,
+				DistOpt:    bd.DistOpt,
+				Bound:      f.Score(bd.MatchOpt, bd.DistOpt),
+				ActiveBits: pop,
+				DeltaMatch: bd.MatchOpt - baseM,
+				DeltaDist:  bd.DistOpt - baseD - t0.r*pop,
+			})
+			ties = append(ties, coordSimilarity(f, targetCoord, e.Coord))
 		}
-		ties[i] = coordSimilarity(f, targetCoord, e.Coord)
 	}
-	SortVisitingOrder(ex.Entries, ties)
+	sortVisitingOrder(ex.Entries, ties)
 	return ex
 }
 
-// SortVisitingOrder sorts explanation rows into the order a search
+// sortVisitingOrder sorts explanation rows into the order a search
 // visits their entries: CompareRanked over each row's bound, its
 // tie-break key ties[i] (the coordinate similarity) and its
 // coordinate. ties is permuted along with rows.
-func SortVisitingOrder(rows []EntryBound, ties []float64) {
+func sortVisitingOrder(rows []EntryBound, ties []float64) {
 	sort.Sort(visitingOrder{rows, ties})
 }
 

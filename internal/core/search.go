@@ -156,11 +156,24 @@ type rankedEntry struct {
 // distance 0). Among ties, visit the entry whose activation pattern
 // most resembles the target's first: its transactions are the
 // likeliest close matches, which raises the pessimistic bound early
-// and drives both pruning and early-termination accuracy. The actual
-// comparison lives in CompareRanked (shardapi.go) so the sharded
-// coordinator replays the identical order.
+// and drives both pruning and early-termination accuracy.
 func rankedBefore(a, b rankedEntry) bool {
 	return CompareRanked(a.sort, a.tie, a.e.Coord, b.sort, b.tie, b.e.Coord)
+}
+
+// CompareRanked is the entry visiting order as a pure function of the
+// ranking keys: decreasing sort key, ties broken by decreasing
+// supercoordinate similarity, then increasing coordinate. It reports
+// whether entry a is visited before entry b. The heap, the ladder, the
+// merge of a sharded index's parts and Explain all order by it.
+func CompareRanked(sortA, tieA float64, coordA signature.Coord, sortB, tieB float64, coordB signature.Coord) bool {
+	if sortA != sortB {
+		return sortA > sortB
+	}
+	if tieA != tieB {
+		return tieA > tieB
+	}
+	return coordA < coordB
 }
 
 // entryQueue is a max-heap of rankedEntry, ordered by (sort, tie,
@@ -287,7 +300,7 @@ func (t *Table) runSearch(ctx context.Context, src entrySource, parallelism int,
 	if workers > 1 && t.live >= minParallelLive && ctx.Err() == nil {
 		return t.searchParallel(ctx, src, workers, sp)
 	}
-	return t.searchSerial(ctx, src, sp)
+	return searchSerial(ctx, src, sp)
 }
 
 // searchSerial is the single-goroutine branch-and-bound loop: pop the
@@ -295,14 +308,35 @@ func (t *Table) runSearch(ctx context.Context, src entrySource, parallelism int,
 // the k-th best found, otherwise scan its transactions through score.
 // Cancellation is checked between entry visits and every
 // cancelCheckInterval transactions within one, so a deadline aborts
-// mid-scan with whatever was found so far.
-func (t *Table) searchSerial(ctx context.Context, src entrySource, sp searchSpec) Result {
+// mid-scan with whatever was found so far. Serial searches of a table
+// run it, and so does every search over a sharded index's parts.
+func searchSerial(ctx context.Context, src entrySource, sp searchSpec) Result {
 	res := Result{Workers: 1}
 	var reads atomic.Int64
 
 	best := topk.New(sp.k)
 	partialOpt := math.Inf(-1) // bound of an entry cut short by termination
 	interrupted := ctx.Err() != nil
+
+	// One scan callback serves every entry. Built inside the loop, it
+	// and the variables it captures would be heap-allocated per visited
+	// entry.
+	stop := false
+	inEntry := 0
+	offer := func(id txn.TID, v float64) bool {
+		best.Offer(id, v)
+		res.Scanned++
+		inEntry++
+		if res.Scanned >= sp.budget {
+			stop = true
+			return false
+		}
+		if res.Scanned%cancelCheckInterval == 0 && ctx.Err() != nil {
+			interrupted = true
+			return false
+		}
+		return true
+	}
 
 	for !interrupted && src.Len() > 0 {
 		re := src.Pop()
@@ -320,22 +354,8 @@ func (t *Table) searchSerial(ctx context.Context, src entrySource, sp searchSpec
 			sp.prefetch(src)
 		}
 		res.EntriesScanned++
-		stop := false
-		inEntry := 0
-		sp.scan(re.e, &reads, func(id txn.TID, v float64) bool {
-			best.Offer(id, v)
-			res.Scanned++
-			inEntry++
-			if res.Scanned >= sp.budget {
-				stop = true
-				return false
-			}
-			if res.Scanned%cancelCheckInterval == 0 && ctx.Err() != nil {
-				interrupted = true
-				return false
-			}
-			return true
-		})
+		inEntry = 0
+		sp.scan(re.e, &reads, offer)
 		if stop || interrupted {
 			// The budget (or deadline) ran out inside this entry; any
 			// unexamined transactions are still bounded by its
@@ -375,37 +395,28 @@ func (t *Table) searchSerial(ctx context.Context, src entrySource, sp searchSpec
 // Interrupted set and, in general, Certified false. An error is
 // reserved for invalid inputs; a cancelled search is not an error.
 func (t *Table) Query(ctx context.Context, target txn.Transaction, f simfun.Func, opt QueryOptions) (Result, error) {
-	opt, budget, err := opt.normalized(t.live)
-	if err != nil {
-		return Result{}, err
-	}
-	if t.live == 0 {
-		return Result{Certified: true}, nil
-	}
+	return query(ctx, []Part{{Table: t}}, true, target, f, opt)
+}
+
+// query is Query over the union of the parts' entries (see parts.go);
+// parallel admits the parallel engine for a lone part.
+func query(ctx context.Context, parts []Part, parallel bool, target txn.Transaction, f simfun.Func, opt QueryOptions) (Result, error) {
 	if ta, ok := f.(simfun.TargetAware); ok {
 		f = ta.Bind(target)
 	}
-
-	sc := t.getScratch()
-	defer t.putScratch(sc)
-	overlaps := t.part.Overlaps(target, sc.overlaps)
-	targetCoord := signature.CoordOfOverlaps(overlaps, t.r)
-	src := t.rankSource(sc, f, overlaps, targetCoord, opt.SortBy)
-
-	m := t.newMatcher(target)
-	defer t.releaseMatcher(m)
-	res := t.runSearch(ctx, src, opt.Parallelism, searchSpec{
-		k:        opt.K,
-		budget:   budget,
-		sortBy:   opt.SortBy,
-		prefetch: t.prefetchHook(ctx, opt.ReadaheadDepth),
-		scan: func(e *Entry, reads *atomic.Int64, fn func(id txn.TID, value float64) bool) {
-			t.scanEntryStats(e, &m, reads, func(id txn.TID, x, y int) bool {
-				return fn(id, f.Score(x, y))
-			})
+	t0 := parts[0].Table
+	m := t0.newMatcher(target)
+	defer t0.releaseMatcher(m)
+	return search(ctx, parts, parallel, opt,
+		func(t *Table, sc *queryScratch) entrySource {
+			overlaps := t.part.Overlaps(target, sc.overlaps)
+			return t.rankSource(sc, f, overlaps, signature.CoordOfOverlaps(overlaps, t.r), opt.SortBy)
 		},
-	})
-	return res, nil
+		func(p *Part, e *Entry, reads *atomic.Int64, fn func(id txn.TID, value float64) bool) {
+			p.Table.scanEntryStats(e, &m, reads, func(id txn.TID, x, y int) bool {
+				return fn(p.global(id), f.Score(x, y))
+			})
+		})
 }
 
 // Nearest is shorthand for a run-to-completion single-nearest-neighbor

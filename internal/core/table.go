@@ -387,6 +387,13 @@ func (t *Table) Len() int { return t.data.Len() }
 // the conceptual 2^K table cells).
 func (t *Table) NumEntries() int { return len(t.entries) }
 
+// HasEntry reports whether the table has an entry for the coordinate,
+// whether or not any of its transactions is still live.
+func (t *Table) HasEntry(c signature.Coord) bool {
+	_, ok := t.byCoord[c]
+	return ok
+}
+
 // Entries returns the occupied entries in slot order — coordinate
 // order as of the last Build/Rebuild, with post-build novel
 // coordinates appended (read-only).

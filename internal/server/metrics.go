@@ -175,9 +175,9 @@ func newOpMetrics(reg *metrics.Registry, s *Server) *opMetrics {
 		return s.idx.DirectoryStats().RankSeconds
 	})
 
-	// Per-shard telemetry for the sharded engine: sizes, query
-	// fan-out, accumulated lock wait and page reads, one series per
-	// shard under a "shard" label.
+	// Per-shard telemetry for the sharded engine: sizes, queries that
+	// read the shard, accumulated lock wait and page reads, one series
+	// per shard under a "shard" label.
 	if sx, ok := s.idx.(*sigtable.ShardedIndex); ok {
 		shardVec := func(f func(sigtable.ShardStats) float64) func() []metrics.LabeledValue {
 			return func() []metrics.LabeledValue {
@@ -195,7 +195,7 @@ func newOpMetrics(reg *metrics.Registry, s *Server) *opMetrics {
 			shardVec(func(st sigtable.ShardStats) float64 { return float64(st.Len) }))
 		reg.GaugeVecFunc("sigtable_shard_entries", "occupied supercoordinates per shard", "shard",
 			shardVec(func(st sigtable.ShardStats) float64 { return float64(st.Entries) }))
-		reg.CounterVecFunc("sigtable_shard_scans_total", "queries fanned out to the shard", "shard",
+		reg.CounterVecFunc("sigtable_shard_scans_total", "queries that read the shard", "shard",
 			shardVec(func(st sigtable.ShardStats) float64 { return float64(st.Scans) }))
 		reg.CounterVecFunc("sigtable_shard_lock_wait_seconds_total", "time spent acquiring the shard's lock", "shard",
 			shardVec(func(st sigtable.ShardStats) float64 { return float64(st.LockWaitNanos) / 1e9 }))

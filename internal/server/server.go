@@ -26,7 +26,7 @@
 // ShardedIndex. With a sharded engine, /v1/stats gains a per-shard
 // "shards" section, /v1/rebuild accepts a "shard" field to compact one
 // shard without draining the others, and the sigtable_shard_* metric
-// family exports per-shard sizes, query fan-out, lock wait and page
+// family exports per-shard sizes, query reads, lock wait and page
 // reads.
 //
 // Every error is the envelope {"error": {"code", "message"}}; codes
@@ -479,7 +479,7 @@ type OverflowInfo struct {
 }
 
 // ShardInfo is one row of the /v1/stats shards section: the shard's
-// sizes and its query fan-out, lock-wait and page-read counters.
+// sizes and its query-read, lock-wait and page-read counters.
 type ShardInfo struct {
 	Shard        int     `json:"shard"`
 	Live         int     `json:"live"`

@@ -12,10 +12,10 @@ import (
 
 // TestShardedRankerIdentity runs the same sharded queries under the
 // legacy heap ranker and the directory ladder, asserting the
-// deterministic Result fields match exactly. The per-shard worker
-// streams entries through core.RankedStream, so this pins the whole
-// scatter path — ranking, prefetch lookahead and the merged-queue
-// alignment — to the legacy visiting order.
+// deterministic Result fields match exactly. Every shard ranks its
+// own entries and the search merges the shards' ranked sources, so
+// this pins the whole sharded path — per-shard ranking and the merge —
+// to the legacy visiting order.
 func TestShardedRankerIdentity(t *testing.T) {
 	defer func() { core.LegacyRanker = false }()
 	ctx := context.Background()

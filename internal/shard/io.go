@@ -30,19 +30,16 @@ import (
 // which case the index must be rebuilt from its dataset before it can
 // be persisted.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	// The routing lock excludes mutations, so the loaded snapshots are
-	// the current ones and stay consistent with route.loc throughout.
+	// The routing lock excludes mutations, so the loaded states are the
+	// current ones and stay consistent with route.loc throughout.
 	x.route.mu.RLock()
 	defer x.route.mu.RUnlock()
-	states := make([]*shardState, len(x.shards))
-	for i, s := range x.shards {
-		states[i] = s.load()
-	}
+	cur := x.load()
 
-	for i, st := range states {
-		if st.table.Live() != st.table.Len() {
+	for i, p := range cur {
+		if p.Table.Live() != p.Table.Len() {
 			return 0, fmt.Errorf("shard: shard %d has %d tombstoned transactions; CompactShard before persisting",
-				i, st.table.Len()-st.table.Live())
+				i, p.Table.Len()-p.Table.Live())
 		}
 	}
 	for g, l := range x.route.loc {
@@ -65,20 +62,20 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	if err := writeU32(uint32(len(x.route.loc))); err != nil {
 		return n, err
 	}
-	for _, st := range states {
-		if err := writeU32(uint32(len(st.globals))); err != nil {
+	for _, p := range cur {
+		if err := writeU32(uint32(len(p.Globals))); err != nil {
 			return n, err
 		}
-		for _, g := range st.globals {
+		for _, g := range p.Globals {
 			if err := writeU32(uint32(g)); err != nil {
 				return n, err
 			}
 		}
 	}
 	var b8 [8]byte
-	for i, st := range states {
+	for i, p := range cur {
 		var buf bytes.Buffer
-		if _, err := st.table.WriteTo(&buf); err != nil {
+		if _, err := p.Table.WriteTo(&buf); err != nil {
 			return n, fmt.Errorf("shard: serializing shard %d: %w", i, err)
 		}
 		binary.LittleEndian.PutUint64(b8[:], uint64(buf.Len()))
@@ -99,7 +96,10 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // Read loads a sharded index previously written with WriteTo, binding
 // it to the global dataset it was built over. Per-shard local datasets
 // are reconstructed from the globals mapping, and each shard's table is
-// validated against its local dataset by core.ReadTable.
+// validated against its local dataset by core.ReadTable. An image whose
+// shards share coordinates (every image written before shards owned
+// whole coordinates) is rebuilt into coordinate-owned shards by
+// Rebalance, with its global TIDs, partition and threshold.
 func Read(r io.Reader, data *txn.Dataset) (*Index, error) {
 	var b4 [4]byte
 	readU32 := func() (uint32, error) {
@@ -165,7 +165,11 @@ func Read(r io.Reader, data *txn.Dataset) (*Index, error) {
 		opt:      Options{Shards: int(shardCount)},
 		shards:   make([]*shard, shardCount),
 	}
+	for i := range x.shards {
+		x.shards[i] = &shard{}
+	}
 	x.route.loc = make([]location, total)
+	parts := make(states, shardCount)
 	var b8 [8]byte
 	for i, globals := range allGlobals {
 		if _, err := io.ReadFull(r, b8[:]); err != nil {
@@ -173,6 +177,7 @@ func Read(r io.Reader, data *txn.Dataset) (*Index, error) {
 		}
 		tableLen := binary.LittleEndian.Uint64(b8[:])
 		local := txn.NewDataset(data.UniverseSize())
+		local.Grow(len(globals))
 		for _, g := range globals {
 			local.Append(data.Get(g))
 		}
@@ -180,22 +185,39 @@ func Read(r io.Reader, data *txn.Dataset) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
 		}
-		x.shards[i] = newShard(table, globals)
-		for localID, g := range globals {
-			x.route.loc[g] = location{shard: int32(i), local: txn.TID(localID)}
-		}
+		parts[i] = core.Part{Table: table, Globals: globals}
 	}
 
 	// Every shard must share one partition and threshold (invariant 1);
 	// the serialized copies are equal by construction, so adopt shard
-	// 0's and verify the cheap fingerprints of the rest.
-	t0 := x.shards[0].load().table
+	// 0's and verify the cheap fingerprints of the rest. A later
+	// Rebalance rebuilds in the image's storage mode.
+	t0 := parts[0].Table
 	x.part = t0.Partition()
 	x.r = t0.ActivationThreshold()
-	for i, s := range x.shards[1:] {
-		t := s.load().table
-		if t.K() != x.part.K() || t.ActivationThreshold() != x.r {
+	if store := t0.Store(); store != nil {
+		x.opt.PageSize, x.opt.PageFormat = store.PageSize(), store.Format()
+	}
+	for i, p := range parts[1:] {
+		if p.Table.K() != x.part.K() || p.Table.ActivationThreshold() != x.r {
 			return nil, fmt.Errorf("shard: shard %d partition disagrees with shard 0", i+1)
+		}
+	}
+	x.routeAll(parts)
+	x.publish(parts)
+
+	// Images written before shards owned whole coordinates split
+	// entries across shards (contiguous TID runs at build, g mod S on
+	// insert). Rebuild those into coordinate-owned shards, keeping the
+	// global TIDs. No reader ever saw the image's tables, and loaded
+	// tables hold no page file or prefetch worker, so they are dropped
+	// rather than retired.
+	if _, _, _, shared := sharedCoord(parts); shared {
+		if err := x.Rebalance(); err != nil {
+			return nil, err
+		}
+		for _, s := range x.shards {
+			s.retired = nil
 		}
 	}
 	return x, nil

@@ -1,33 +1,32 @@
 // Package shard implements the sharded signature table engine: a set
-// of independent sub-indexes (one core.Table each, with its own pager
-// store and decode cache) behind a single query surface. Queries
-// scatter across shards concurrently and gather into results that are
-// byte-identical to a single-table index over the same data; mutations
-// publish a new per-shard snapshot under that shard's writer mutex, so
-// an insert on shard 3 never delays queries on any shard — not even
-// shard 3, whose in-flight readers keep their loaded snapshot.
+// of sub-indexes (one core.Table each, with its own pager store and
+// decode cache) behind a single query surface. A shard owns whole
+// supercoordinates, so a query is core's own branch-and-bound loop run
+// over the merge of the shards' ranked entries, and its result is
+// byte-identical to a single-table index over the same data. Every
+// shard's (table, globals) state is published together as one
+// immutable vector, so a query sees one consistent set of shards and
+// takes no lock.
 //
 // The identity guarantee rests on three invariants:
 //
 //  1. Every shard is built over the SAME signature partition and
-//     activation threshold, so a coordinate's optimistic bounds — and
-//     hence its ranking keys — are bit-identical no matter which shard
-//     computes them (core.TargetPlan).
-//  2. Each shard's local→global TID mapping is strictly increasing
-//     (initial build splits global TIDs contiguously; inserts append
-//     the next-highest global TID), so a shard's entry scan yields its
-//     slice of an entry's transactions in ascending global TID order,
-//     and a K-way merge across shards reproduces the single table's
-//     exact within-entry scan order.
-//  3. The coordinator replays the serial branch-and-bound loop over
-//     the merged coordinate set — same comparator, same prune
-//     predicate, same budget and cancellation cadence — while shards
-//     only score speculatively; every prune/offer/stop decision is
-//     made exactly once, in serial order (see search.go).
+//     activation threshold, so a coordinate's ranking keys are
+//     bit-identical no matter which shard computes them.
+//  2. One shard owns each coordinate: no two shards hold an entry for
+//     the same supercoordinate. The shards' entries are then the single
+//     table's entries, each whole, and the single table's visiting
+//     order is the merge of the shards' ladders (core.QueryParts).
+//  3. Each shard's local→global TID mapping is strictly increasing
+//     (builds append a shard's transactions in global TID order;
+//     inserts append the next-highest global TID), so an entry's scan
+//     in its owning shard visits its transactions in the single
+//     table's order.
 package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,46 +72,27 @@ type Options struct {
 	FlushThreshold int
 }
 
-// scanStartHook, when set, is called by each scatter worker right
-// after it registers its scan (its snapshot already loaded). Tests use
-// it as a deterministic "this shard's scan has started" signal instead
-// of polling counters; production never sets it. Atomic so installing
-// a hook cannot race in-flight queries under -race.
-var scanStartHook atomic.Pointer[func(*shard)]
+// states is one published vector of every shard's state, indexed by
+// shard number: an immutable core table plus the matching local→global
+// TID mapping. Readers load the vector once and run against it
+// lock-free; a mutation derives the next vector from the current one
+// and stores it whole, under the exclusive routing lock (the snapshot
+// protocol of core/snapshot.go, with each globals slice extended by the
+// same monotone shared-backing append as the table's own spines).
+type states []core.Part
 
-// shardState is one shard's atomically published snapshot: an
-// immutable core table plus the matching local→global TID mapping.
-// Readers load the pair once and run against it lock-free; writers
-// derive the next state under the shard's writer mutex (the snapshot
-// mutation protocol of core/snapshot.go, with the globals slice
-// extended by the same monotone shared-backing append as the table's
-// own spines).
-type shardState struct {
-	table   *core.Table
-	globals []txn.TID // local TID -> global TID, strictly increasing
-}
-
-// shard is one sub-index: the published snapshot behind a writer
-// mutex. Queries never touch wmu — they load state and go.
+// shard is one sub-index's writer-side state. Queries never touch it
+// beyond the scan counter.
 type shard struct {
-	wmu   sync.Mutex                 // serializes mutations, compactions, close
-	state atomic.Pointer[shardState] // current published snapshot
+	wmu sync.Mutex // held while a mutation derives and publishes this shard's state
 
 	gen     int           // rebalance generation, names fresh page files (under wmu)
 	retired []*core.Table // swapped-out tables, kept open for in-flight readers (under wmu)
 
-	// Telemetry, written lock-free by query workers.
-	scans    atomic.Int64 // queries that fanned out to this shard
+	// Telemetry.
+	scans    atomic.Int64 // queries that read this shard
 	lockWait atomic.Int64 // nanoseconds writers spent acquiring wmu
 }
-
-func newShard(t *core.Table, globals []txn.TID) *shard {
-	s := &shard{}
-	s.state.Store(&shardState{table: t, globals: globals})
-	return s
-}
-
-func (s *shard) load() *shardState { return s.state.Load() }
 
 // location routes a global TID to its shard-local slot. A negative
 // shard marks a TID whose transaction was compacted away.
@@ -122,29 +102,31 @@ type location struct {
 }
 
 // Index is the sharded engine. Safe for concurrent use: queries load
-// each shard's published snapshot without locking; mutations take the
-// routing lock plus the owning shard's writer mutex and publish a
-// derived snapshot.
+// the published shard states without locking; mutations take the
+// routing lock plus the writer mutexes of the shards they change and
+// publish a derived vector.
 type Index struct {
 	part     *signature.Partition
 	r        int
 	universe int
 	opt      Options
 	shards   []*shard
+	states   atomic.Pointer[states] // every shard's published state
 
 	poolPages   int   // per-shard buffer pool budget
 	decodeBytes int64 // per-shard decode cache budget
 
 	route struct {
-		mu  sync.RWMutex
-		loc []location // global TID -> location
+		mu  sync.RWMutex // held exclusively by every mutation
+		loc []location   // global TID -> location
 	}
 }
 
-// New builds a sharded index over the dataset: global TIDs [0, n) are
-// split into Shards contiguous ranges, each indexed independently over
-// the shared partition. The dataset is copied into per-shard datasets;
-// the argument is not retained.
+// New builds a sharded index over the dataset, keeping its TIDs as the
+// global ones. Whole supercoordinates are assigned to shards (see
+// balance) and each shard is indexed over the shared partition. The
+// dataset is copied into per-shard datasets; the argument is not
+// retained.
 func New(data *txn.Dataset, part *signature.Partition, opt Options) (*Index, error) {
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d must be >= 1", opt.Shards)
@@ -168,33 +150,136 @@ func New(data *txn.Dataset, part *signature.Partition, opt Options) (*Index, err
 		opt:      opt,
 		shards:   make([]*shard, opt.Shards),
 	}
+	for i := range x.shards {
+		x.shards[i] = &shard{}
+	}
 	x.poolPages, x.decodeBytes = splitBudget(opt.BufferPoolPages, opt.DecodeCacheBytes, opt.Shards)
 
-	n := data.Len()
-	S := opt.Shards
-	x.route.loc = make([]location, n)
-	lo := 0
-	for i := range x.shards {
-		count := n / S
-		if i < n%S {
-			count++
-		}
-		local := txn.NewDataset(x.universe)
-		globals := make([]txn.TID, 0, count)
-		for g := lo; g < lo+count; g++ {
-			local.Append(data.Get(txn.TID(g)))
-			globals = append(globals, txn.TID(g))
-			x.route.loc[g] = location{shard: int32(i), local: txn.TID(g - lo)}
-		}
-		lo += count
+	parts, err := x.split(data.All(), nil)
+	if err != nil {
+		return nil, err
+	}
+	x.route.loc = make([]location, data.Len())
+	x.routeAll(parts)
+	x.publish(parts)
+	return x, nil
+}
 
-		table, err := core.Build(local, part, x.buildOptions(i, 0))
+// split builds one table per shard over the transactions, assigning
+// whole supercoordinates to shards (balance). ids lists the
+// transactions' global TIDs in ascending order (nil: their positions),
+// and each shard's globals keep that order. Page files are named by the
+// shards' current generations. On error the tables already built are
+// closed.
+func (x *Index) split(trs []txn.Transaction, ids []txn.TID) (states, error) {
+	coords := make([]signature.Coord, len(trs))
+	for j, tr := range trs {
+		coords[j] = x.part.Coord(tr, x.r)
+	}
+	owner, load := balance(coords, x.part.K(), len(x.shards))
+	data := make([]*txn.Dataset, len(x.shards))
+	parts := make(states, len(x.shards))
+	for i := range parts {
+		data[i] = txn.NewDataset(x.universe)
+		data[i].Grow(load[i])
+		parts[i].Globals = make([]txn.TID, 0, load[i])
+	}
+	for j, tr := range trs {
+		i := owner[j]
+		data[i].Append(tr)
+		g := txn.TID(j)
+		if ids != nil {
+			g = ids[j]
+		}
+		parts[i].Globals = append(parts[i].Globals, g)
+	}
+	for i := range parts {
+		t, err := core.Build(data[i], x.part, x.buildOptions(i, x.shards[i].gen))
 		if err != nil {
+			for _, p := range parts[:i] {
+				p.Table.Close()
+			}
 			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 		}
-		x.shards[i] = newShard(table, globals)
+		parts[i].Table = t
 	}
-	return x, nil
+	return parts, nil
+}
+
+// balance assigns whole supercoordinates to shards, largest entry
+// first, each to the shard holding the fewest transactions so far.
+// Ties go to the lower coordinate, then the lower shard number. Given
+// each transaction's k-bit coordinate, it returns each transaction's
+// shard and each shard's transaction count. The greedy bound: shard
+// sizes differ by at most the largest entry.
+func balance(coords []signature.Coord, k, shards int) (owner []int32, load []int) {
+	// An LSD radix sort of the transactions by coordinate, 8-bit
+	// digits, leaves each coordinate's transactions in one run of
+	// order, the runs in coordinate order.
+	order, tmp := make([]int32, len(coords)), make([]int32, len(coords))
+	for j := range order {
+		order[j] = int32(j)
+	}
+	for shift := 0; shift < k; shift += 8 {
+		var start [256]int32
+		for _, c := range coords {
+			start[byte(c>>shift)]++
+		}
+		sum := int32(0)
+		for d, n := range start {
+			start[d] = sum
+			sum += n
+		}
+		for _, j := range order {
+			d := byte(coords[j] >> shift)
+			tmp[start[d]] = j
+			start[d]++
+		}
+		order, tmp = tmp, order
+	}
+	type run struct{ lo, hi int32 }
+	var runs []run
+	largest := int32(0)
+	for lo := int32(0); int(lo) < len(order); {
+		hi := lo + 1
+		for int(hi) < len(order) && coords[order[hi]] == coords[order[lo]] {
+			hi++
+		}
+		runs = append(runs, run{lo, hi})
+		largest = max(largest, hi-lo)
+		lo = hi
+	}
+	// Larger entries first, equal sizes in coordinate order: a stable
+	// counting sort of the runs by descending size.
+	start := make([]int32, largest+1)
+	for _, r := range runs {
+		start[largest-(r.hi-r.lo)]++
+	}
+	sum := int32(0)
+	for b, n := range start {
+		start[b] = sum
+		sum += n
+	}
+	bySize := make([]run, len(runs))
+	for _, r := range runs {
+		b := largest - (r.hi - r.lo)
+		bySize[start[b]] = r
+		start[b]++
+	}
+	owner, load = tmp, make([]int, shards) // tmp is free after the sort
+	for _, r := range bySize {
+		i := 0
+		for s := 1; s < shards; s++ {
+			if load[s] < load[i] {
+				i = s
+			}
+		}
+		load[i] += int(r.hi - r.lo)
+		for _, j := range order[r.lo:r.hi] {
+			owner[j] = int32(i)
+		}
+	}
+	return owner, load
 }
 
 // splitBudget divides the pool and cache budgets evenly across shards,
@@ -232,6 +317,44 @@ func (x *Index) buildOptions(i, gen int) core.BuildOptions {
 	return o
 }
 
+// load returns the published shard states.
+func (x *Index) load() states { return *x.states.Load() }
+
+// publish stores a new vector of shard states. The caller holds the
+// routing lock exclusively and has routed the vector's TIDs.
+func (x *Index) publish(next states) { x.states.Store(&next) }
+
+// routeShard points the routing table at every global TID shard i's
+// state maps.
+func (x *Index) routeShard(i int, p core.Part) {
+	for local, g := range p.Globals {
+		x.route.loc[g] = location{shard: int32(i), local: txn.TID(local)}
+	}
+}
+
+// routeAll routes every shard of a freshly built vector.
+func (x *Index) routeAll(s states) {
+	for i, p := range s {
+		x.routeShard(i, p)
+	}
+}
+
+// with returns a copy of the states with shard i's replaced.
+func (s states) with(i int, p core.Part) states {
+	next := slices.Clone(s)
+	next[i] = p
+	return next
+}
+
+// lockShard takes shard i's writer mutex, charging the wait to its
+// lock-wait counter.
+func (x *Index) lockShard(i int) {
+	s := x.shards[i]
+	t0 := time.Now()
+	s.wmu.Lock()
+	s.lockWait.Add(time.Since(t0).Nanoseconds())
+}
+
 // Shards reports the shard count.
 func (x *Index) Shards() int { return len(x.shards) }
 
@@ -255,23 +378,21 @@ func (x *Index) Len() int {
 // Live reports the number of live transactions across all shards.
 func (x *Index) Live() int {
 	total := 0
-	for _, s := range x.shards {
-		total += s.load().table.Live()
+	for _, p := range x.load() {
+		total += p.Table.Live()
 	}
 	return total
 }
 
-// NumEntries reports the number of distinct occupied supercoordinates
-// across all shards — the same count a single table over the union
-// would have.
+// NumEntries reports the number of occupied supercoordinates across
+// all shards — the same count a single table over the union would
+// have, since no coordinate has entries in two shards.
 func (x *Index) NumEntries() int {
-	seen := make(map[signature.Coord]struct{})
-	for _, s := range x.shards {
-		for _, e := range s.load().table.EntrySummaries(nil) {
-			seen[e.Coord] = struct{}{}
-		}
+	n := 0
+	for _, p := range x.load() {
+		n += p.Table.NumEntries()
 	}
-	return len(seen)
+	return n
 }
 
 // SnapshotVersion sums the per-shard snapshot versions — a counter
@@ -279,8 +400,8 @@ func (x *Index) NumEntries() int {
 // the index, the sharded analogue of a single table's Version.
 func (x *Index) SnapshotVersion() uint64 {
 	var v uint64
-	for _, s := range x.shards {
-		v += s.load().table.Version()
+	for _, p := range x.load() {
+		v += p.Table.Version()
 	}
 	return v
 }
@@ -288,8 +409,8 @@ func (x *Index) SnapshotVersion() uint64 {
 // OverflowStats aggregates the per-shard overflow-flush accounting.
 func (x *Index) OverflowStats() core.OverflowStats {
 	var agg core.OverflowStats
-	for _, s := range x.shards {
-		st := s.load().table.OverflowStats()
+	for _, p := range x.load() {
+		st := p.Table.OverflowStats()
 		agg.Transactions += st.Transactions
 		agg.Pending += st.Pending
 		agg.Flushes += st.Flushes
@@ -300,8 +421,7 @@ func (x *Index) OverflowStats() core.OverflowStats {
 
 // Items returns the transaction stored under the global TID, or nil if
 // the TID is out of range or was compacted away. The routing lock
-// keeps the location and the shard snapshot mutually consistent
-// (CompactShard remaps both under the exclusive routing lock).
+// keeps the location and the published states mutually consistent.
 func (x *Index) Items(g txn.TID) txn.Transaction {
 	x.route.mu.RLock()
 	defer x.route.mu.RUnlock()
@@ -312,73 +432,72 @@ func (x *Index) Items(g txn.TID) txn.Transaction {
 	if l.shard < 0 {
 		return nil
 	}
-	return x.shards[l.shard].load().table.Dataset().Get(l.local)
+	return x.load()[l.shard].Table.Dataset().Get(l.local)
+}
+
+// target picks the shard for a new transaction: the shard whose state
+// already has an entry for its coordinate, else the shard with the
+// fewest live transactions (ties to the lower shard number).
+func (x *Index) target(s states, tr txn.Transaction) int {
+	c := x.part.Coord(tr, x.r)
+	fewest := 0
+	for i, p := range s {
+		if p.Table.HasEntry(c) {
+			return i
+		}
+		if p.Table.Live() < s[fewest].Table.Live() {
+			fewest = i
+		}
+	}
+	return fewest
 }
 
 // Insert adds a transaction, returning its global TID. The new TID is
-// the highest ever assigned, and it routes to shard TID mod S, so each
-// shard's local→global mapping stays strictly increasing (invariant 2).
-// Only the routing lock and the owning shard's writer mutex are held,
-// and queries never take either: the insert derives a snapshot from
-// the shard's current one and publishes it, disturbing no reader
-// anywhere.
+// the highest ever assigned and it joins the shard that owns its
+// coordinate (see target), so every shard's local→global mapping stays
+// strictly increasing (invariant 3) and no coordinate gains a second
+// owner (invariant 2). Only the routing lock and the owning shard's
+// writer mutex are held, and queries take neither: the insert derives
+// the shard's next state and publishes a new vector, disturbing no
+// reader.
 func (x *Index) Insert(tr txn.Transaction) txn.TID {
-	x.route.mu.Lock()
-	defer x.route.mu.Unlock()
-	g := txn.TID(len(x.route.loc))
-	i := int(g) % len(x.shards)
-	s := x.shards[i]
-
-	t0 := time.Now()
-	s.wmu.Lock()
-	s.lockWait.Add(time.Since(t0).Nanoseconds())
-	st := s.load()
-	nt, local := st.table.InsertSnapshot(tr)
-	// Like the table's own spines, globals grows only at an index no
-	// reader of an older snapshot addresses, so the backing array may
-	// be shared.
-	s.state.Store(&shardState{table: nt, globals: append(st.globals, g)})
-	s.wmu.Unlock()
-
-	x.route.loc = append(x.route.loc, location{shard: int32(i), local: local})
-	return g
+	return x.InsertBatch([]txn.Transaction{tr})[0]
 }
 
 // InsertBatch adds several transactions under one routing-lock
-// acquisition, publishing one snapshot per owning shard. TIDs are
-// returned in argument order.
+// acquisition and publishes them in one vector, so a query sees all of
+// them or none. TIDs are returned in argument order. Each transaction
+// is routed against the states as the batch has left them, so two new
+// transactions with the same new coordinate join the same shard.
 func (x *Index) InsertBatch(trs []txn.Transaction) []txn.TID {
 	x.route.mu.Lock()
 	defer x.route.mu.Unlock()
-	S := len(x.shards)
-	base := len(x.route.loc)
+	locked := make([]bool, len(x.shards))
+	defer func() {
+		for i, l := range locked {
+			if l {
+				x.shards[i].wmu.Unlock()
+			}
+		}
+	}()
+	next := slices.Clone(x.load())
 	ids := make([]txn.TID, len(trs))
-	locs := make([]location, len(trs))
-	perShard := make([][]int, S)
-	for j := range trs {
-		g := base + j
-		ids[j] = txn.TID(g)
-		perShard[g%S] = append(perShard[g%S], j)
-	}
-	for i, s := range x.shards {
-		if len(perShard[i]) == 0 {
-			continue
+	for j, tr := range trs {
+		i := x.target(next, tr)
+		if !locked[i] {
+			x.lockShard(i)
+			locked[i] = true
 		}
-		t0 := time.Now()
-		s.wmu.Lock()
-		s.lockWait.Add(time.Since(t0).Nanoseconds())
-		st := s.load()
-		table, globals := st.table, st.globals
-		for _, j := range perShard[i] { // ascending j ⇒ ascending global TID
-			var local txn.TID
-			table, local = table.InsertSnapshot(trs[j])
-			globals = append(globals, ids[j])
-			locs[j] = location{shard: int32(i), local: local}
-		}
-		s.state.Store(&shardState{table: table, globals: globals})
-		s.wmu.Unlock()
+		g := txn.TID(len(x.route.loc))
+		// Like the table's own spines, globals grows only at an index no
+		// reader of an older vector addresses, so the backing array may
+		// be shared.
+		t, local := next[i].Table.InsertSnapshot(tr)
+		next[i] = core.Part{Table: t, Globals: append(next[i].Globals, g)}
+		x.route.loc = append(x.route.loc, location{shard: int32(i), local: local})
+		ids[j] = g
 	}
-	x.route.loc = append(x.route.loc, locs...)
+	x.publish(next)
 	return ids
 }
 
@@ -395,15 +514,13 @@ func (x *Index) Delete(g txn.TID) bool {
 	if l.shard < 0 {
 		return false
 	}
-	s := x.shards[l.shard]
-	t0 := time.Now()
-	s.wmu.Lock()
-	s.lockWait.Add(time.Since(t0).Nanoseconds())
-	defer s.wmu.Unlock()
-	st := s.load()
-	nt, ok := st.table.DeleteSnapshot(l.local)
+	i := int(l.shard)
+	x.lockShard(i)
+	defer x.shards[i].wmu.Unlock()
+	cur := x.load()
+	t, ok := cur[i].Table.DeleteSnapshot(l.local)
 	if ok {
-		s.state.Store(&shardState{table: nt, globals: st.globals})
+		x.publish(cur.with(i, core.Part{Table: t, Globals: cur[i].Globals}))
 	}
 	return ok
 }
@@ -414,7 +531,7 @@ func (x *Index) Delete(g txn.TID) bool {
 // remaps its local TIDs and the rest of the index — and every query
 // result — is unaffected. Only the routing lock and this shard's
 // writer mutex are held; queries everywhere keep running, including
-// readers mid-scan on the old snapshot, which is retired (kept open)
+// readers mid-scan on the old table, which is retired (kept open)
 // rather than closed until Close.
 func (x *Index) CompactShard(i int) error {
 	if i < 0 || i >= len(x.shards) {
@@ -422,37 +539,34 @@ func (x *Index) CompactShard(i int) error {
 	}
 	x.route.mu.Lock()
 	defer x.route.mu.Unlock()
-	s := x.shards[i]
-	t0 := time.Now()
-	s.wmu.Lock()
-	s.lockWait.Add(time.Since(t0).Nanoseconds())
-	defer s.wmu.Unlock()
+	x.lockShard(i)
+	defer x.shards[i].wmu.Unlock()
 
-	st := s.load()
-	old := st.table
-	nt, err := old.Rebuild()
+	cur := x.load()
+	old := cur[i]
+	t, err := old.Table.Rebuild()
 	if err != nil {
 		return fmt.Errorf("shard: compacting shard %d: %w", i, err)
 	}
-	newGlobals := make([]txn.TID, 0, nt.Len())
-	for local := 0; local < old.Len(); local++ {
-		g := st.globals[local]
-		if old.IsDeleted(txn.TID(local)) {
+	globals := make([]txn.TID, 0, t.Len())
+	for local, g := range old.Globals {
+		if old.Table.IsDeleted(txn.TID(local)) {
 			x.route.loc[g] = location{shard: -1}
 			continue
 		}
-		x.route.loc[g] = location{shard: int32(i), local: txn.TID(len(newGlobals))}
-		newGlobals = append(newGlobals, g)
+		globals = append(globals, g)
 	}
-	x.retire(s, old)
-	s.state.Store(&shardState{table: nt, globals: newGlobals})
+	p := core.Part{Table: t, Globals: globals}
+	x.routeShard(i, p)
+	x.retire(x.shards[i], old.Table)
+	x.publish(cur.with(i, p))
 	return nil
 }
 
 // retire takes a replaced table out of service without closing it:
 // prefetch workers stop (racing queries simply issue their own reads)
 // but the page file stays open for readers still scanning the old
-// snapshot. Close releases the retired tables. Caller holds s.wmu.
+// table. Close releases the retired tables. Caller holds s.wmu.
 func (x *Index) retire(s *shard, old *core.Table) {
 	if store := old.Store(); store != nil {
 		store.StopPrefetcher()
@@ -460,19 +574,19 @@ func (x *Index) retire(s *shard, old *core.Table) {
 	s.retired = append(s.retired, old)
 }
 
-// Rebalance redistributes all live transactions into S contiguous
-// equal-size runs (in global TID order) and rebuilds every shard —
-// the heavyweight fix for shards drifting apart after skewed inserts
+// Rebalance reassigns whole supercoordinates over all live
+// transactions the way New does (see balance) and rebuilds every shard
+// — the heavyweight fix for shards drifting apart after skewed inserts
 // and deletes. Global TIDs are preserved. It holds the routing lock
 // plus every shard's writer mutex for the duration — other writers
-// queue, but queries keep running on the old snapshots throughout; all
-// new tables are built before any state is swapped, so a build error
-// leaves the index untouched.
+// queue, but queries keep running on the old states throughout and
+// then see the new vector whole; all new tables are built before it is
+// published, so a build error leaves the index untouched.
 func (x *Index) Rebalance() error {
 	x.route.mu.Lock()
 	defer x.route.mu.Unlock()
-	for _, s := range x.shards {
-		s.wmu.Lock()
+	for i := range x.shards {
+		x.lockShard(i)
 	}
 	defer func() {
 		for i := len(x.shards) - 1; i >= 0; i-- {
@@ -485,72 +599,52 @@ func (x *Index) Rebalance() error {
 		tr txn.Transaction
 	}
 	var all []liveTxn
-	states := make([]*shardState, len(x.shards))
-	for i, s := range x.shards {
-		states[i] = s.load()
-		t := states[i].table
+	cur := x.load()
+	for _, p := range cur {
+		t := p.Table
 		for local := 0; local < t.Len(); local++ {
-			if t.IsDeleted(txn.TID(local)) {
-				continue
+			if !t.IsDeleted(txn.TID(local)) {
+				all = append(all, liveTxn{g: p.Globals[local], tr: t.Dataset().Get(txn.TID(local))})
 			}
-			all = append(all, liveTxn{g: states[i].globals[local], tr: t.Dataset().Get(txn.TID(local))})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].g < all[j].g })
-
-	S := len(x.shards)
-
-	newTables := make([]*core.Table, S)
-	newGlobals := make([][]txn.TID, S)
-	lo := 0
-	for i := range x.shards {
-		count := len(all) / S
-		if i < len(all)%S {
-			count++
-		}
-		seg := all[lo : lo+count]
-		lo += count
-		local := txn.NewDataset(x.universe)
-		globals := make([]txn.TID, 0, count)
-		for _, lt := range seg {
-			local.Append(lt.tr)
-			globals = append(globals, lt.g)
-		}
-		nt, err := core.Build(local, x.part, x.buildOptions(i, x.shards[i].gen+1))
-		if err != nil {
-			return fmt.Errorf("shard: rebalancing shard %d: %w", i, err)
-		}
-		newTables[i] = nt
-		newGlobals[i] = globals
+	trs := make([]txn.Transaction, len(all))
+	ids := make([]txn.TID, len(all))
+	for j, lt := range all {
+		trs[j], ids[j] = lt.tr, lt.g
 	}
 
-	// Commit: every build succeeded, publish the new snapshots under
-	// the writer mutexes.
+	for _, s := range x.shards {
+		s.gen++
+	}
+	next, err := x.split(trs, ids)
+	if err != nil {
+		return fmt.Errorf("shard: rebalancing: %w", err)
+	}
 	for g := range x.route.loc {
 		x.route.loc[g] = location{shard: -1}
 	}
+	x.routeAll(next)
 	for i, s := range x.shards {
-		for local, g := range newGlobals[i] {
-			x.route.loc[g] = location{shard: int32(i), local: txn.TID(local)}
-		}
-		x.retire(s, states[i].table)
-		s.state.Store(&shardState{table: newTables[i], globals: newGlobals[i]})
-		s.gen++
+		x.retire(s, cur[i].Table)
 	}
+	x.publish(next)
 	return nil
 }
 
 // Close stops every shard store's prefetch workers and releases the
-// backing page files, if any — current snapshots and tables retired by
+// backing page files, if any — current tables and tables retired by
 // CompactShard/Rebalance alike. The index must not be queried after
 // Close; the first error is returned but every shard is closed.
 func (x *Index) Close() error {
 	x.route.mu.Lock()
 	defer x.route.mu.Unlock()
 	var first error
+	cur := x.load()
 	for i, s := range x.shards {
 		s.wmu.Lock()
-		if err := s.load().table.Close(); err != nil && first == nil {
+		if err := cur[i].Table.Close(); err != nil && first == nil {
 			first = fmt.Errorf("shard: closing shard %d: %w", i, err)
 		}
 		for _, t := range s.retired {
@@ -575,7 +669,7 @@ type Stats struct {
 	Live    int
 	Len     int
 	Entries int
-	// Scans counts queries that fanned out to this shard.
+	// Scans counts queries that read this shard.
 	Scans int64
 	// LockWaitNanos accumulates time writers spent acquiring this
 	// shard's writer mutex, the write-contention signal (queries take
@@ -588,9 +682,10 @@ type Stats struct {
 
 // Stats snapshots every shard's counters.
 func (x *Index) Stats() []Stats {
+	cur := x.load()
 	out := make([]Stats, len(x.shards))
 	for i, s := range x.shards {
-		t := s.load().table
+		t := cur[i].Table
 		st := Stats{
 			Shard:         i,
 			Live:          t.Live(),
@@ -612,8 +707,8 @@ func (x *Index) Stats() []Stats {
 // reported once (they are package-level in core, not per table).
 func (x *Index) DirectoryStats() core.DirectoryStats {
 	var agg core.DirectoryStats
-	for _, s := range x.shards {
-		st := s.load().table.DirectoryStats()
+	for _, p := range x.load() {
+		st := p.Table.DirectoryStats()
 		agg.Slots += st.Slots
 		agg.Bytes += st.Bytes
 		agg.Rebuilds, agg.Ranks, agg.RankSeconds = st.Rebuilds, st.Ranks, st.RankSeconds
@@ -622,27 +717,29 @@ func (x *Index) DirectoryStats() core.DirectoryStats {
 }
 
 // Validate runs each shard's consistency sweep plus the cross-shard
-// routing invariants (monotone local→global mappings, round-trip
-// agreement between the routing table and the shards), returning the
-// first violation.
+// invariants — one owner per coordinate, monotone local→global
+// mappings, round-trip agreement between the routing table and the
+// shards — returning the first violation.
 func (x *Index) Validate() error {
-	// The routing lock excludes mutations, so each shard's loaded
-	// snapshot is THE current one and stays consistent with route.loc
-	// for the whole sweep.
+	// The routing lock excludes mutations, so the loaded states are THE
+	// current ones and stay consistent with route.loc for the sweep.
 	x.route.mu.RLock()
 	defer x.route.mu.RUnlock()
+	cur := x.load()
+	if c, a, b, ok := sharedCoord(cur); ok {
+		return fmt.Errorf("shard: coordinate %#x has entries in shards %d and %d", c, a, b)
+	}
 
 	routed := 0
-	for i, s := range x.shards {
-		st := s.load()
-		if err := st.table.Validate(); err != nil {
+	for i, p := range cur {
+		if err := p.Table.Validate(); err != nil {
 			return fmt.Errorf("shard: shard %d: %w", i, err)
 		}
-		if len(st.globals) != st.table.Len() {
-			return fmt.Errorf("shard: shard %d maps %d globals for %d transactions", i, len(st.globals), st.table.Len())
+		if len(p.Globals) != p.Table.Len() {
+			return fmt.Errorf("shard: shard %d maps %d globals for %d transactions", i, len(p.Globals), p.Table.Len())
 		}
-		for local, g := range st.globals {
-			if local > 0 && st.globals[local-1] >= g {
+		for local, g := range p.Globals {
+			if local > 0 && p.Globals[local-1] >= g {
 				return fmt.Errorf("shard: shard %d global mapping not increasing at local %d", i, local)
 			}
 			if int(g) >= len(x.route.loc) {
@@ -653,7 +750,7 @@ func (x *Index) Validate() error {
 					g, i, local, l.shard, l.local)
 			}
 		}
-		routed += len(st.globals)
+		routed += len(p.Globals)
 	}
 	present := 0
 	for _, l := range x.route.loc {
@@ -667,11 +764,26 @@ func (x *Index) Validate() error {
 	return nil
 }
 
+// sharedCoord finds a coordinate with entries in two shards, the
+// violation of invariant 2, reporting it and the two shards.
+func sharedCoord(s states) (c signature.Coord, a, b int, ok bool) {
+	owner := make(map[signature.Coord]int)
+	for i, p := range s {
+		for _, e := range p.Table.Entries() {
+			if o, dup := owner[e.Coord]; dup {
+				return e.Coord, o, i, true
+			}
+			owner[e.Coord] = i
+		}
+	}
+	return 0, 0, 0, false
+}
+
 // CoreBuildStats aggregates the per-shard build phase times (summed).
 func (x *Index) CoreBuildStats() core.BuildStats {
 	var agg core.BuildStats
-	for _, s := range x.shards {
-		bs := s.load().table.BuildStats()
+	for _, p := range x.load() {
+		bs := p.Table.BuildStats()
 		agg.Coords += bs.Coords
 		agg.Group += bs.Group
 		agg.Write += bs.Write

@@ -1,6 +1,9 @@
 package txn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Dataset is an in-memory collection of transactions over a fixed item
 // universe {0, ..., UniverseSize-1}. Transactions are addressed by TID,
@@ -48,6 +51,10 @@ func (d *Dataset) Append(t Transaction) TID {
 	d.items += len(t)
 	return TID(len(d.txns) - 1)
 }
+
+// Grow makes room for n more transactions, so the next n Appends do
+// not reallocate.
+func (d *Dataset) Grow(n int) { d.txns = slices.Grow(d.txns, n) }
 
 // AppendShared adds a transaction to a copy-on-write derivative of the
 // dataset and returns (derivative, TID). The two datasets share the

@@ -82,3 +82,19 @@ func TestDatasetSliceBounds(t *testing.T) {
 		}()
 	}
 }
+
+func TestDatasetGrow(t *testing.T) {
+	d := NewDataset(10)
+	d.Append(New(1))
+	d.Grow(100)
+	backing := &d.All()[0]
+	for i := 0; i < 100; i++ {
+		d.Append(New(2))
+	}
+	if &d.All()[0] != backing {
+		t.Fatal("appends within the grown capacity reallocated")
+	}
+	if d.Len() != 101 || !d.Get(0).Equal(New(1)) || !d.Get(100).Equal(New(2)) {
+		t.Fatal("Grow lost the dataset's transactions")
+	}
+}

@@ -22,8 +22,8 @@ type SearchOptions struct {
 	// query it is the scan fan-out inside the branch-and-bound loop
 	// (0 = GOMAXPROCS, 1 = serial); for a range query the entry
 	// partitioning width; for a batch the pool width (see BatchQuery).
-	// Results are identical at every setting. A sharded index ignores
-	// it for single queries — the scatter width is the shard count.
+	// Results are identical at every setting. A sharded index runs
+	// single queries serially and ignores it there.
 	Parallelism int
 	// SharedScan routes a BatchQuery through ONE scan over the
 	// signature table instead of independent per-target queries; see

@@ -9,7 +9,7 @@ import (
 )
 
 // Engine is the query surface shared by the two index engines: the
-// single-table *Index and the scatter-gather *ShardedIndex. Servers
+// single-table *Index and the coordinate-partitioned *ShardedIndex. Servers
 // and tools that only search, mutate and persist can hold an Engine
 // and accept either; engine-specific surfaces (Index.Table,
 // ShardedIndex.ShardStats, Rebalance) stay on the concrete types.
@@ -56,16 +56,18 @@ var (
 
 // ShardedIndex partitions the transactions across S sub-indexes, each
 // a full signature table with its own pager store and decode cache,
-// behind the same query surface as Index. Queries scatter across the
-// shards concurrently and gather into results byte-identical to a
-// single index over the same data; mutations publish a new per-shard
-// snapshot under the owning shard's writer mutex, so an insert never
-// blocks queries — on its own shard or any other. See DESIGN.md §4e
-// for the architecture and the merge argument, §4i for the snapshot
-// protocol.
+// behind the same query surface as Index. A shard owns whole
+// supercoordinates, so a query runs the single table's serial search
+// loop over the merge of the shards' ranked entries and returns
+// results byte-identical to a single index over the same data. The
+// shards' states are published together as one immutable vector:
+// a mutation derives the next vector and stores it whole, so it never
+// blocks a query and no query sees a mutation half applied. See
+// DESIGN.md §4e for the architecture and the merge argument, §4i for
+// the snapshot protocol.
 //
 // A ShardedIndex is safe for concurrent use; all coordination lives in
-// the shard engine (per-shard writer mutexes plus a routing lock that
+// the shard engine (a routing lock and per-shard writer mutexes, which
 // queries never touch).
 type ShardedIndex struct {
 	x *shard.Index
@@ -74,7 +76,7 @@ type ShardedIndex struct {
 	buildStats BuildStats
 }
 
-// ShardStats is one shard's health snapshot: sizes, query fan-out
+// ShardStats is one shard's health snapshot: sizes, query-read
 // count, accumulated lock wait and pages read — the backing data of
 // the sigtable_shard_* metric family.
 type ShardStats = shard.Stats
@@ -82,10 +84,12 @@ type ShardStats = shard.Stats
 // NewSharded builds a sharded index over the dataset. The signature
 // partition and activation threshold are mined ONCE from the full
 // dataset (they must be shared by every shard for results to merge
-// exactly), then global TIDs [0, n) are split into opt.Shards
-// contiguous ranges, each indexed independently. 0 and 1 shards both
-// build a one-shard engine. A non-empty PageFile becomes per-shard
-// files PageFile+".s<i>"; the buffer-pool and decode-cache budgets are
+// exactly), then whole supercoordinates are assigned to opt.Shards
+// shards — largest entry first, each to the shard holding the fewest
+// transactions — and each shard is indexed independently; the
+// dataset's TIDs stay the global ones. 0 and 1 shards both build a
+// one-shard engine. A non-empty PageFile becomes per-shard files
+// PageFile+".s<i>"; the buffer-pool and decode-cache budgets are
 // divided across the shards.
 func NewSharded(d *Dataset, opt IndexOptions) (*ShardedIndex, error) {
 	shards := opt.Shards
@@ -131,8 +135,9 @@ func (sx *ShardedIndex) Len() int { return sx.x.Len() }
 // Live reports the live transactions across all shards.
 func (sx *ShardedIndex) Live() int { return sx.x.Live() }
 
-// NumEntries reports the distinct occupied supercoordinates across all
-// shards — the same count a single index over the data would have.
+// NumEntries reports the occupied supercoordinates across all shards —
+// the same count a single index over the data would have, since no
+// coordinate has entries in two shards.
 func (sx *ShardedIndex) NumEntries() int { return sx.x.NumEntries() }
 
 // Signatures returns the item sets of the K signatures (read-only).
@@ -158,10 +163,11 @@ func (sx *ShardedIndex) ShardStats() []ShardStats { return sx.x.Stats() }
 // once).
 func (sx *ShardedIndex) DirectoryStats() DirectoryStats { return sx.x.DirectoryStats() }
 
-// Query runs the k-NN search scattered across all shards; semantics
-// (contexts, certificates, errors) match Index.Query exactly, and the
-// result is byte-identical to it. SearchOptions.Parallelism is ignored
-// — the scatter width is the shard count.
+// Query runs the k-NN search over all shards: the single table's
+// serial search loop over the merge of the shards' ranked entries.
+// Semantics (contexts, certificates, errors) match Index.Query exactly,
+// and the result is byte-identical to it. SearchOptions.Parallelism is
+// validated and otherwise ignored — the search is serial.
 func (sx *ShardedIndex) Query(ctx context.Context, target Transaction, f SimilarityFunc, opt SearchOptions) (Result, error) {
 	return sx.x.Query(ctx, target, f, opt.query())
 }
@@ -185,10 +191,9 @@ func (sx *ShardedIndex) RangeQuery(ctx context.Context, target Transaction, cons
 }
 
 // BatchQuery answers one k-NN query per target over a worker pool,
-// each query scatter-gathering across the shards; the calling
-// conventions match Index.BatchQuery. The shared-scan engine is a
-// single-table optimization — SharedScan falls back to independent
-// queries here (the per-shard fan-out already amortizes I/O).
+// each slot a sharded Query; the calling conventions match
+// Index.BatchQuery. The shared-scan engine is a single-table
+// optimization — SharedScan falls back to independent queries here.
 func (sx *ShardedIndex) BatchQuery(ctx context.Context, targets []Transaction, f SimilarityFunc, opt SearchOptions, legacy ...BatchOptions) ([]Result, error) {
 	_, qopt, pool := batchPlan(opt, legacy)
 	return sx.x.BatchQuery(ctx, targets, f, qopt.query(), pool)
@@ -208,14 +213,15 @@ func (sx *ShardedIndex) SnapshotVersion() uint64 { return sx.x.SnapshotVersion()
 // OverflowStats aggregates the shards' overflow-flush accounting.
 func (sx *ShardedIndex) OverflowStats() OverflowStats { return sx.x.OverflowStats() }
 
-// Insert adds a transaction, returning its global TID. Only the
-// routing table and the owning shard's writer mutex are taken: queries
-// — on any shard — are never blocked.
+// Insert adds a transaction, returning its global TID. It joins the
+// shard that owns its supercoordinate, or the shard with the fewest
+// live transactions when no shard does. Only the routing table and
+// that shard's writer mutex are taken: queries are never blocked.
 func (sx *ShardedIndex) Insert(t Transaction) TID { return sx.x.Insert(t) }
 
 // InsertBatch adds several transactions under one routing-lock
-// acquisition, publishing one new snapshot per touched shard. TIDs are
-// returned in argument order.
+// acquisition and publishes them together, so a query sees all of them
+// or none. TIDs are returned in argument order.
 func (sx *ShardedIndex) InsertBatch(ts []Transaction) []TID { return sx.x.InsertBatch(ts) }
 
 // Delete tombstones the transaction at the global TID, reporting
@@ -243,10 +249,13 @@ func (sx *ShardedIndex) Compact() error {
 	return nil
 }
 
-// Rebalance redistributes all live transactions into equal-size
-// contiguous runs and rebuilds every shard — the heavyweight fix for
-// shards drifting apart after skewed inserts and deletes. Global TIDs
-// are preserved; the whole index is locked for the duration.
+// Rebalance reassigns whole supercoordinates over all live
+// transactions, the way NewSharded does, and rebuilds every shard —
+// the heavyweight fix for shards drifting apart after skewed inserts
+// and deletes. Shard sizes then differ by at most the largest entry.
+// Global TIDs are preserved; writers wait for the duration, while
+// queries keep reading the old shards until the new ones are published
+// together.
 func (sx *ShardedIndex) Rebalance() error {
 	if err := sx.x.Rebalance(); err != nil {
 		return err

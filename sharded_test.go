@@ -271,7 +271,8 @@ func TestPersistEnvelope(t *testing.T) {
 
 // TestShardedMaintenance: Engine-level Compact preserves global TIDs
 // on the sharded engine (unlike the single index's renumbering),
-// Rebalance evens the shards, and ShardStats reports per-shard state.
+// Rebalance evens the shards to within the largest entry, and
+// ShardStats reports per-shard state.
 func TestShardedMaintenance(t *testing.T) {
 	data := testDataset(t, 1200, 37)
 	sharded, err := NewSharded(data, IndexOptions{SignatureCardinality: 9, Shards: 3})
@@ -339,8 +340,16 @@ func TestShardedMaintenance(t *testing.T) {
 			max = st.Live
 		}
 	}
-	if max-min > 1 {
-		t.Fatalf("rebalance left uneven shards: %+v", stats)
+	// Whole coordinates move, so the greedy assignment bounds the
+	// spread by the largest entry rather than by one transaction.
+	largest := 0
+	for _, e := range sharded.Explain(target, Cosine{}).Entries {
+		if e.Count > largest {
+			largest = e.Count
+		}
+	}
+	if max-min > largest {
+		t.Fatalf("rebalance left shards %d apart, more than the largest entry's %d: %+v", max-min, largest, stats)
 	}
 	rebal, err := sharded.Query(context.Background(), target, Cosine{}, SearchOptions{K: 5})
 	if err != nil {

@@ -217,8 +217,8 @@ type IndexOptions struct {
 	// kernel. Ignored in memory mode (PageSize == 0).
 	PageFormat PageFormat
 	// Shards selects the sharded engine: NewSharded partitions the
-	// transactions across this many sub-indexes (0 and 1 both mean a
-	// single shard). BuildIndex rejects values above 1 — a sharded
+	// transactions across this many sub-indexes, each owning whole
+	// supercoordinates (0 and 1 both mean a single shard). BuildIndex rejects values above 1 — a sharded
 	// index is built with NewSharded, which returns the engine type
 	// that can answer for it.
 	Shards int
