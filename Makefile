@@ -69,10 +69,10 @@ staticcheck:
 # merged-ladder search at 1/4/8 shards (memory and disk), independent vs
 # shared-scan batches, the page-codec scan and fused-score kernels (v1
 # vs v2), the build pipeline in memory and on disk, support counting, the
-# buffer-pool hammer, and the mixed read/write workload comparing the
-# retired RWMutex discipline against snapshot publication (query-ns/op
-# and decode-cache hit rate under 1% writes). delta_vs ratios compare
-# each shared benchmark
+# buffer-pool hammer, entry ranking (the bit-sliced kernel plus the key
+# ladder), and the mixed read/write workload under snapshot publication
+# (query-ns/op and decode-cache hit rate under 1% writes). delta_vs
+# ratios compare each shared benchmark
 # against the newest previous BENCH_PR*.json baseline; with no baseline
 # on disk the flag is omitted and the report carries absolute numbers.
 # Name the new archive on the command line

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"sigtable/internal/core"
 	"sigtable/internal/experiments"
 	"sigtable/internal/gen"
 	"sigtable/internal/mining"
@@ -250,28 +249,6 @@ func BenchmarkQuerySignatureTableNN(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkQueryMem A/B-tests the entry-ranking engines on the
-// memory-path NN query: heap is the legacy per-entry bound loop
-// feeding a binary heap, bucketed is the bit-sliced directory kernel
-// feeding the counting-sort ladder. Answers are byte-identical (the
-// property tests prove it); only the wall clock moves.
-func BenchmarkQueryMem(b *testing.B) {
-	m := microSetup(b)
-	run := func(b *testing.B, legacy bool) {
-		defer func(old bool) { core.LegacyRanker = old }(core.LegacyRanker)
-		core.LegacyRanker = legacy
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.idx.Query(context.Background(), m.queries[i%len(m.queries)], Cosine{}, QueryOptions{K: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("heap", func(b *testing.B) { run(b, true) })
-	b.Run("bucketed", func(b *testing.B) { run(b, false) })
 }
 
 func BenchmarkQuerySignatureTableNNEarly2pct(b *testing.B) {
@@ -701,20 +678,16 @@ func BenchmarkPoolHammer(b *testing.B) {
 	}
 }
 
-// --- Mixed read/write workload: RWMutex vs snapshot publication ---
+// --- Mixed read/write workload under snapshot publication ---
 
 // BenchmarkMixedWorkload drives N parallel workers over one index with
-// a ~1% Insert/Delete mix and measures what the readers feel: the
-// rwmutex variants reproduce the seed's discipline (queries under a
-// shared RWMutex, mutations under the exclusive lock with the legacy
-// in-place core mutators and their global decode-cache invalidation),
-// the snapshot variants run the published-snapshot engine (lock-free
-// queries, per-list invalidation, batched overflow flush). Reported
-// per variant: query-ns/op, the mean wall time of the query ops alone
-// (the headline ns/op mixes in the mutations), and in disk mode
-// dchit%, the decode-cache hit rate over the measured window — global
-// invalidation restarts the cache from cold after every write, the
-// per-list protocol keeps the working set warm.
+// a ~1% Insert/Delete mix on the published-snapshot engine (lock-free
+// queries, per-list invalidation, batched overflow flush) and measures
+// what the readers feel. Reported per variant: query-ns/op, the mean
+// wall time of the query ops alone (the headline ns/op mixes in the
+// mutations), and in disk mode dchit%, the decode-cache hit rate over
+// the measured window. The retired RWMutex discipline's numbers are
+// archived in BENCH_PR10.json and BENCH_PR19.json.
 func BenchmarkMixedWorkload(b *testing.B) {
 	storages := []struct {
 		suffix string
@@ -728,15 +701,13 @@ func BenchmarkMixedWorkload(b *testing.B) {
 		}},
 	}
 	for _, st := range storages {
-		for _, mode := range []string{"rwmutex", "snapshot"} {
-			b.Run(mode+st.suffix, func(b *testing.B) {
-				benchMixedWorkload(b, mode, st.opt)
-			})
-		}
+		b.Run("snapshot"+st.suffix, func(b *testing.B) {
+			benchMixedWorkload(b, st.opt)
+		})
 	}
 }
 
-func benchMixedWorkload(b *testing.B, mode string, opt IndexOptions) {
+func benchMixedWorkload(b *testing.B, opt IndexOptions) {
 	g, err := NewGenerator(GeneratorConfig{Seed: 81})
 	if err != nil {
 		b.Fatal(err)
@@ -748,21 +719,13 @@ func benchMixedWorkload(b *testing.B, mode string, opt IndexOptions) {
 	}
 	defer idx.Close()
 	queries := g.Queries(256)
-
-	// The rwmutex baseline drives the core table directly under a
-	// read-write lock — the seed Index's exact discipline; the wrapper
-	// Index is not used again, so the lineage stays on the legacy
-	// protocol.
-	table := idx.Table()
-	store := table.Store()
-	var mu sync.RWMutex
+	store := idx.Table().Store()
 
 	var hits0, misses0 int64
 	if store != nil && store.DecodeCache() != nil {
 		hits0, misses0 = store.DecodeCache().Stats()
 	}
 
-	qopt := core.QueryOptions{K: 1, MaxScanFraction: 0.05, Parallelism: 1}
 	var queryNanos, queryCount int64
 	var seedCtr int64
 	b.ReportAllocs()
@@ -774,38 +737,17 @@ func benchMixedWorkload(b *testing.B, mode string, opt IndexOptions) {
 			if rng.Intn(128) == 0 {
 				tr := queries[rng.Intn(len(queries))]
 				del := TID(rng.Intn(20000))
-				switch mode {
-				case "rwmutex":
-					mu.Lock()
-					if rng.Intn(2) == 0 {
-						table.Insert(tr)
-					} else {
-						table.Delete(del)
-					}
-					mu.Unlock()
-				case "snapshot":
-					if rng.Intn(2) == 0 {
-						idx.Insert(tr)
-					} else {
-						idx.Delete(del)
-					}
+				if rng.Intn(2) == 0 {
+					idx.Insert(tr)
+				} else {
+					idx.Delete(del)
 				}
 				continue
 			}
 			target := queries[rng.Intn(len(queries))]
 			t0 := time.Now()
-			switch mode {
-			case "rwmutex":
-				mu.RLock()
-				_, err := table.Query(context.Background(), target, simfun.Cosine{}, qopt)
-				mu.RUnlock()
-				if err != nil {
-					b.Fatal(err)
-				}
-			case "snapshot":
-				if _, err := idx.Query(context.Background(), target, Cosine{}, QueryOptions{K: 1, MaxScanFraction: 0.05, Parallelism: 1}); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := idx.Query(context.Background(), target, Cosine{}, QueryOptions{K: 1, MaxScanFraction: 0.05, Parallelism: 1}); err != nil {
+				b.Fatal(err)
 			}
 			localNs += time.Since(t0).Nanoseconds()
 			localN++

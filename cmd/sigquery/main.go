@@ -15,7 +15,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -102,15 +104,8 @@ func main() {
 			idx.Len(), idx.K(), idx.NumEntries(), time.Since(start).Round(time.Millisecond))
 	}
 	if *saveIndex != "" {
-		out, err := os.Create(*saveIndex)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if _, err := idx.WriteTo(out); err != nil {
+		if err := saveFile(*saveIndex, idx); err != nil {
 			fatal("saving index: %v", err)
-		}
-		if err := out.Close(); err != nil {
-			fatal("closing %s: %v", *saveIndex, err)
 		}
 		fmt.Printf("index saved to %s\n", *saveIndex)
 	}
@@ -173,6 +168,42 @@ func main() {
 		fmt.Printf("inverted index: best value %.4f (TID %d), accessed %.2f%% of transactions (%.2f%% of pages) in %v\n",
 			cands[0].Value, cands[0].TID, 100*st.Fraction, 100*st.PageFraction, time.Since(start).Round(time.Microsecond))
 	}
+}
+
+// saveFile writes w's bytes to path without ever exposing a partial
+// file there: it writes a temporary file in the same directory, syncs
+// and closes it, then renames it over path. On any error the temporary
+// file is removed and whatever path held before is left untouched.
+func saveFile(path string, w io.WriterTo) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	// CreateTemp opens the file 0600: give it the permissions of the
+	// image it replaces, or 0644 for a new one.
+	mode := os.FileMode(0o644)
+	if fi, err := os.Stat(path); err == nil {
+		mode = fi.Mode().Perm()
+	}
+	if err := tmp.Chmod(mode); err != nil {
+		return err
+	}
+	if _, err := w.WriteTo(tmp); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return fmt.Errorf("syncing %s: %w", tmp.Name(), err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", tmp.Name(), err)
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 func parseItems(s string, universe int) (sigtable.Transaction, error) {

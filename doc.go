@@ -157,12 +157,15 @@
 // The branch-and-bound visit order is computed by a columnar entry
 // directory: per signature, a packed bitmap over the occupied entries,
 // maintained incrementally by Insert/InsertBatch/Delete and rebuilt by
-// Compact. Queries rank every entry with a bit-sliced kernel over the
-// overlapped signatures' bitmaps and consume the order lazily
-// best-first from a counting-sort ladder — byte-identical, position by
-// position, to the per-entry bound loop and binary heap it replaced
-// (the legacy path survives behind the core package's LegacyRanker
-// flag for A/B benchmarks). Engine.DirectoryStats reports the
+// Compact. Queries compute every entry's integer (M_opt, D_opt) pair
+// with a bit-sliced kernel over the overlapped signatures' bitmaps,
+// evaluate the similarity function once per distinct pair, and
+// counting-sort the entries into one exact bucket per distinct bound;
+// a bucket's ties are ordered only when the search reaches it. The
+// visiting order is byte-identical, position by position, to the
+// per-entry bound loop followed by a full sort, which survives behind
+// the core package's LegacyRanker flag as the reference the property
+// tests compare against. Engine.DirectoryStats reports the
 // directory's size and ranking counters; the same numbers surface as
 // sigtable_directory_* metrics and the /v1/stats directory section,
 // and Explanation carries the kernel's bound decomposition

@@ -16,7 +16,7 @@ import (
 // The per-query cost the paper never optimizes is ranking: before the
 // first transaction is scanned, FindOptimisticBound runs over every
 // occupied supercoordinate — an O(entries×K) sweep with two similarity
-// calls per entry — and the results are heapified. After the I/O path
+// calls per entry — and the results are ordered. After the I/O path
 // was crushed (block-compressed pages, coalesced preads), that sweep is
 // the dominant per-query CPU cost on the memory path, repeated per
 // target in the batch engine and per shard in the sharded one.
@@ -45,24 +45,17 @@ import (
 // adds per set bit. The integers, and therefore the f.Score floats,
 // are bit-identical to the naive loop's.
 //
-// Ranked entries then go into a counting-sort ladder rather than a
-// heap: sort keys quantize (via the order-preserving float→uint64
-// encoding the parallel engine already uses for thresholds) into at
-// most 256 buckets whose key ranges are disjoint and descending, so
-// consuming buckets first-to-last visits entries in exactly the heap's
-// pop order once each bucket is sorted — and a bucket is sorted only
-// when consumption reaches it. A query that prunes after a short
-// prefix never sorts the tail, and in bound order never even computes
-// the tail's tie-break keys (the second similarity call per entry).
-// The visiting order is a strict total order — coordinates are unique
-// within a table — so the lazily sorted ladder and the heap produce
-// the same sequence element for element.
+// The integers feed the key ladder (keyladder.go), which evaluates f
+// once per distinct (M_opt, D_opt) pair and counting-sorts the slots
+// into one exact bucket per distinct bound. Multi-target keys are
+// averages over targets rather than integer pairs, so that search alone
+// still quantizes its float keys into the bucketed entryLadder below.
 
 // LegacyRanker routes every engine's entry ranking through the
-// pre-directory path: the naive O(entries×K) bound loop into a binary
-// heap. It exists so property tests and benchmarks can A/B the two
-// rankers against each other; production leaves it false. Flipping it
-// while queries are in flight is not safe.
+// reference path: the naive O(entries×K) per-entry bound loop followed
+// by one full sort by CompareRanked. It exists so property tests can
+// A/B the rankers against each other; production leaves it false.
+// Flipping it while queries are in flight is not safe.
 var LegacyRanker bool
 
 // Process-wide directory telemetry. Counters live at package level,
@@ -90,15 +83,24 @@ type directory struct {
 	stride int      // words per signature row (row capacity = stride*64 slots)
 	bits   []uint64 // k rows × stride words, row-major
 	pop    []uint8  // per-slot activation popcount (K <= 63 fits a byte)
+	// ordered is the length of the slot prefix numbered in increasing
+	// coordinate order when the directory was built; slots appended
+	// later lie beyond it. The key ladder breaks ties by slot order
+	// below it and sorts only the slots past it by coordinate.
+	ordered int32
 }
 
 // newDirectory builds the directory from scratch over the given
-// entries (Build and Rebuild hand it the coordinate-sorted slice, so
-// initial slot order equals entry order).
+// entries in slot order (Build and Rebuild hand it the
+// coordinate-sorted slice, so initial slot order equals coordinate
+// order; ReadTable hands it the saved slot order).
 func newDirectory(k int, entries []*Entry) *directory {
 	d := &directory{k: k}
 	d.ensure(len(entries))
-	for _, e := range entries {
+	for i, e := range entries {
+		if int(d.ordered) == i && (i == 0 || entries[i-1].Coord < e.Coord) {
+			d.ordered++
+		}
 		d.addSlot(e.Coord)
 	}
 	dirRebuilds.Add(1)
@@ -153,7 +155,7 @@ func (d *directory) addSlot(coord signature.Coord) {
 // directory, the same discipline the snapshot writer protocol imposes
 // everywhere.
 func (d *directory) withSlot(coord signature.Coord) *directory {
-	nd := &directory{k: d.k, slots: d.slots, stride: d.stride, pop: d.pop}
+	nd := &directory{k: d.k, slots: d.slots, stride: d.stride, pop: d.pop, ordered: d.ordered}
 	if d.slots+1 > d.stride*64 {
 		// ensure reallocates the rows into fresh backing: the copy is
 		// the growth it would do anyway.
@@ -208,10 +210,12 @@ func (t *Table) DirectoryStats() DirectoryStats {
 }
 
 // entrySource is the ranked-entry consumption surface every engine
-// drives: the lazily sorted ladder in production, the legacy heap
-// under LegacyRanker. Pop and Peek require Len() > 0. None of the
-// methods are safe for concurrent use; the parallel engine calls them
-// under its claim mutex.
+// drives: the key ladder for single-target searches, the bucketed float
+// ladder for multi-target ones, and a fully sorted slice under
+// LegacyRanker. Pop and Peek require Len() > 0 and return every key
+// filled; Prefix and All promise only each entry's e, idx and opt.
+// None of the methods are safe for concurrent use; the parallel engine
+// calls them under its claim mutex.
 type entrySource interface {
 	// Len reports how many ranked entries remain.
 	Len() int
@@ -234,47 +238,49 @@ type entrySource interface {
 	MaxRemainingOpt() float64
 }
 
-// heapSource adapts the legacy entryQueue to the entrySource surface.
-type heapSource struct {
-	q       entryQueue
+// sortedSource serves entries from a slice already in visiting order:
+// the LegacyRanker reference.
+type sortedSource struct {
+	items   []rankedEntry
+	pos     int
 	byBound bool
 }
 
-func (h *heapSource) Len() int          { return len(h.q) }
-func (h *heapSource) Pop() rankedEntry  { return h.q.popMax() }
-func (h *heapSource) Peek() rankedEntry { return h.q[0] }
+func (s *sortedSource) Len() int          { return len(s.items) - s.pos }
+func (s *sortedSource) Peek() rankedEntry { return s.items[s.pos] }
 
-func (h *heapSource) Prefix(n int, fn func(rankedEntry)) {
-	if n > len(h.q) {
-		n = len(h.q)
-	}
-	for i := 0; i < n; i++ {
-		fn(h.q[i])
-	}
+func (s *sortedSource) Pop() rankedEntry {
+	s.pos++
+	return s.items[s.pos-1]
 }
 
-func (h *heapSource) All(fn func(rankedEntry)) {
-	for _, re := range h.q {
+func (s *sortedSource) Prefix(n int, fn func(rankedEntry)) {
+	for _, re := range s.items[s.pos:min(s.pos+n, len(s.items))] {
 		fn(re)
 	}
 }
 
-func (h *heapSource) Drop() int {
-	n := len(h.q)
-	h.q = h.q[:0]
+func (s *sortedSource) All(fn func(rankedEntry)) {
+	for _, re := range s.items[s.pos:] {
+		fn(re)
+	}
+}
+
+func (s *sortedSource) Drop() int {
+	n := s.Len()
+	s.pos = len(s.items)
 	return n
 }
 
-func (h *heapSource) MaxRemainingOpt() float64 {
-	if len(h.q) == 0 {
+func (s *sortedSource) MaxRemainingOpt() float64 {
+	if s.Len() == 0 {
 		return math.Inf(-1)
 	}
-	if h.byBound {
-		// Heap order is by bound: the root dominates the rest.
-		return h.q[0].opt
+	if s.byBound {
+		return s.items[s.pos].opt
 	}
 	max := math.Inf(-1)
-	for _, re := range h.q {
+	for _, re := range s.items[s.pos:] {
 		if re.opt > max {
 			max = re.opt
 		}
@@ -282,10 +288,10 @@ func (h *heapSource) MaxRemainingOpt() float64 {
 	return max
 }
 
-// entryLadder is the bucketed best-first container: items grouped by
-// quantized sort key into buckets whose key ranges are disjoint and
-// strictly descending, each bucket sorted (and, in bound order, its
-// tie keys computed) only when consumption reaches it.
+// entryLadder is the multi-target best-first container: items grouped
+// by quantized sort key into buckets whose key ranges are disjoint and
+// strictly descending, each bucket sorted only when consumption
+// reaches it.
 type entryLadder struct {
 	items  []rankedEntry // bucket-grouped; bucket b is items[starts[b]:starts[b+1]]
 	starts []int32       // len buckets+1
@@ -295,9 +301,6 @@ type entryLadder struct {
 	left   int           // remaining items
 
 	byBound bool
-	lazyTie bool // bound order: tie keys filled at bucket-sort time
-	f       simfun.Func
-	target  signature.Coord
 	sc      *queryScratch // owner; its pre-ladder buffers back the radix scratch
 }
 
@@ -316,29 +319,23 @@ func (l *entryLadder) advance() {
 
 func (l *entryLadder) sortBucket(b int) {
 	seg := l.items[l.starts[b]:l.starts[b+1]]
-	if l.lazyTie {
-		for i := range seg {
-			seg[i].tie = coordSimilarity(l.f, l.target, seg[i].e.Coord)
-		}
-	}
-	if len(seg) <= radixCutover || l.sc == nil {
+	l.sorted[b] = true
+	if len(seg) <= radixCutover {
 		cmpRanked(seg)
-		l.sorted[b] = true
 		return
 	}
-	// Bound scores take few discrete values, so a quantized bucket
-	// routinely holds most of the occupied entries and a comparison
-	// sort degenerates into O(n log n) three-field compares. Instead:
-	// staged radix over precomputed uint64 keys, one stage per
-	// comparator field, refining only the equal-key runs. All three
-	// buffers are dead pre-ladder scratch.
+	// Averaged keys cluster on few values, so a quantized bucket can
+	// hold most of the entries and a comparison sort degenerates into
+	// O(n log n) three-field compares. Instead: staged radix over
+	// precomputed uint64 keys, one stage per comparator field,
+	// refining only the equal-key runs. All three buffers are dead
+	// pre-ladder scratch.
 	n := len(seg)
 	keys := resizeU64(&l.sc.enc, n)
 	tmpE := resizeItems(&l.sc.items, n)
 	tmpK := resizeU64(&l.sc.keys, n)
 	fillStageKeys(seg, keys, 0)
 	radixStage(seg, keys, tmpE, tmpK, 0)
-	l.sorted[b] = true
 }
 
 // radixCutover is the segment length below which comparison sort beats
@@ -505,9 +502,8 @@ func (l *entryLadder) Peek() rankedEntry {
 }
 
 // Prefix walks upcoming items in raw ladder order — exact within
-// sorted buckets, bucket-grouped beyond, the same flavor of
-// approximation as the heap-array prefix it replaces. It never forces
-// a sort: prefetch lookahead must not pay for ordering the tail.
+// sorted buckets, bucket-grouped beyond. It never forces a sort:
+// prefetch lookahead must not pay for ordering the tail.
 func (l *entryLadder) Prefix(n int, fn func(rankedEntry)) {
 	end := l.pos + n
 	if end > len(l.items) {
@@ -563,27 +559,25 @@ func (l *entryLadder) MaxRemainingOpt() float64 {
 }
 
 // rankSource ranks every entry for one single-target query and returns
-// the consumption source: the directory kernel feeding a ladder, or —
-// under LegacyRanker — the naive loop feeding the heap. The scratch
-// owns all transient storage; the source stays valid until the scratch
-// is returned to the pool.
+// the consumption source: the directory kernel feeding the key ladder,
+// or — under LegacyRanker — the per-entry loop and a full sort. The
+// scratch owns all transient storage; the source stays valid until the
+// scratch is returned to the pool.
 func (t *Table) rankSource(sc *queryScratch, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) entrySource {
 	if LegacyRanker || t.dir == nil {
-		q := t.rankEntries(sc.queue, f, overlaps, targetCoord, by)
-		sc.queue = q[:0]
-		sc.heap = heapSource{q: q, byBound: by == ByOptimisticBound}
-		return &sc.heap
+		sc.sorted = sortedSource{items: t.rankEntries(&sc.items, f, overlaps, targetCoord, by), byBound: by == ByOptimisticBound}
+		return &sc.sorted
 	}
 	start := time.Now()
-	src := t.rankBitsliced(sc, f, overlaps, targetCoord, by)
+	t.rankBitsliced(sc, f, overlaps, targetCoord, by)
 	dirRankNanos.Add(time.Since(start).Nanoseconds())
 	dirRanks.Add(1)
-	return src
+	return &sc.ladder
 }
 
 // rankBitsliced computes every slot's bounds through the directory
-// decomposition and scatters the ranked entries into the ladder.
-func (t *Table) rankBitsliced(sc *queryScratch, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) *entryLadder {
+// decomposition and ranks the slots into the scratch's key ladder.
+func (t *Table) rankBitsliced(sc *queryScratch, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) {
 	d := t.dir
 	n := d.slots
 	r := t.r
@@ -626,44 +620,18 @@ func (t *Table) rankBitsliced(sc *queryScratch, f simfun.Func, overlaps []int, t
 			}
 		}
 	}
-
-	items := resizeItems(&sc.items, n)
-	enc := resizeU64(&sc.enc, n)
-	lazyTie := by == ByOptimisticBound
-	encMin, encMax := ^uint64(0), uint64(0)
-	for s := 0; s < n; s++ {
-		e := t.entries[s]
-		m := baseM + int(accM[s])
-		dd := baseD + r*int(d.pop[s]) + int(accD[s])
-		opt := f.Score(m, dd)
-		sortKey, tie := opt, 0.0
-		if !lazyTie {
-			tie = coordSimilarity(f, targetCoord, e.Coord)
-			sortKey = tie
-		}
-		items[s] = rankedEntry{e: e, idx: s, opt: opt, sort: sortKey, tie: tie}
-		k := encodeThreshold(sortKey)
-		enc[s] = k
-		if k < encMin {
-			encMin = k
-		}
-		if k > encMax {
-			encMax = k
-		}
-	}
-	return buildLadder(sc, items, enc, encMin, encMax, by, f, targetCoord, lazyTie)
+	sc.ladder.rank(t, f, targetCoord, by, accM, accD, baseM, baseD)
 }
 
 // wrapRanked turns an eagerly ranked item slice (the multi-target
 // path, which averages per-target keys and has every field filled)
-// into the configured source. items must be backed by sc.queue's
-// storage in legacy mode (it is heapified in place).
+// into the configured source: the bucketed float ladder, or a full
+// sort under LegacyRanker. items must be backed by sc.items.
 func (t *Table) wrapRanked(sc *queryScratch, items []rankedEntry, by SortCriterion) entrySource {
 	if LegacyRanker || t.dir == nil {
-		q := entryQueue(items)
-		q.heapify()
-		sc.heap = heapSource{q: q, byBound: by == ByOptimisticBound}
-		return &sc.heap
+		cmpRanked(items)
+		sc.sorted = sortedSource{items: items, byBound: by == ByOptimisticBound}
+		return &sc.sorted
 	}
 	enc := resizeU64(&sc.enc, len(items))
 	encMin, encMax := ^uint64(0), uint64(0)
@@ -677,20 +645,17 @@ func (t *Table) wrapRanked(sc *queryScratch, items []rankedEntry, by SortCriteri
 			encMax = k
 		}
 	}
-	return buildLadder(sc, items, enc, encMin, encMax, by, nil, 0, false)
+	return buildLadder(sc, items, enc, encMin, encMax, by)
 }
 
 // buildLadder counting-sorts items into descending quantized-key
 // buckets. The quantization shift keeps the bucket count at most 256;
 // equal keys always share a bucket, so bucket boundaries never split a
 // tie group across a sort boundary.
-func buildLadder(sc *queryScratch, items []rankedEntry, enc []uint64, encMin, encMax uint64, by SortCriterion, f simfun.Func, target signature.Coord, lazyTie bool) *entryLadder {
-	l := &sc.ladder
+func buildLadder(sc *queryScratch, items []rankedEntry, enc []uint64, encMin, encMax uint64, by SortCriterion) *entryLadder {
+	l := &sc.floats
 	*l = entryLadder{
 		byBound: by == ByOptimisticBound,
-		lazyTie: lazyTie,
-		f:       f,
-		target:  target,
 		// items is always built in sc.items and scattered into sc.swap,
 		// so sc's source buffers are dead by the time a bucket sorts.
 		sc: sc,
@@ -748,9 +713,25 @@ func resizeI32(p *[]int32, n int) []int32 {
 	return *p
 }
 
+func resizeU16(p *[]uint16, n int) []uint16 {
+	if cap(*p) < n {
+		*p = make([]uint16, n)
+	}
+	*p = (*p)[:n]
+	return *p
+}
+
 func resizeU64(p *[]uint64, n int) []uint64 {
 	if cap(*p) < n {
 		*p = make([]uint64, n)
+	}
+	*p = (*p)[:n]
+	return *p
+}
+
+func resizeF64(p *[]float64, n int) []float64 {
+	if cap(*p) < n {
+		*p = make([]float64, n)
 	}
 	*p = (*p)[:n]
 	return *p

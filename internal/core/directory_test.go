@@ -398,16 +398,13 @@ func rankBenchSetup(b *testing.B) {
 	})
 }
 
-// BenchmarkEntryRanking compares the legacy per-entry bound loop plus
-// full heapify (naive) against the directory's bit-sliced kernel plus
-// counting-sort ladder (bitsliced), on a 50k-transaction K=15 table.
-// Both variants rank every entry and then pop a 16-entry prefix, the
-// part of the work every query pays before pruning can start.
+// BenchmarkEntryRanking measures the directory's bit-sliced kernel plus
+// the key ladder on a 50k-transaction K=15 table: it ranks every entry
+// and then pops a 16-entry prefix, the part of the work every query
+// pays before pruning can start.
 func BenchmarkEntryRanking(b *testing.B) {
 	rankBenchSetup(b)
-	run := func(b *testing.B, legacy bool) {
-		defer func(old bool) { LegacyRanker = old }(LegacyRanker)
-		LegacyRanker = legacy
+	b.Run("bitsliced", func(b *testing.B) {
 		t := rankBench.table
 		f := simfun.Jaccard{}
 		b.ReportAllocs()
@@ -420,9 +417,7 @@ func BenchmarkEntryRanking(b *testing.B) {
 			}
 			t.putScratch(sc)
 		}
-	}
-	b.Run("naive", func(b *testing.B) { run(b, true) })
-	b.Run("bitsliced", func(b *testing.B) { run(b, false) })
+	})
 }
 
 // TestDirectoryStatsCounters pins the DirectoryStats surface: slots

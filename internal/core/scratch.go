@@ -5,39 +5,41 @@ import (
 	"sigtable/internal/txn"
 )
 
-// Per-query buffer reuse. A branch-and-bound query needs three
-// transient allocations whose size depends on the table, not on k: the
-// ranked entry queue (one slot per occupied supercoordinate), the
-// K-wide overlap slice, and — for the bitmap scoring kernel — a
-// membership bitmap over the item universe. At serving rates these
-// dominate the per-query allocation profile, so the Table pools all
-// three; a steady-state query allocates O(k) for its result and
-// nothing else.
+// Per-query buffer reuse. A branch-and-bound query needs transient
+// buffers whose size depends on the table, not on k: the entry
+// ranker's per-slot state, the K-wide overlap slice, and — for the
+// bitmap scoring kernel — a membership bitmap over the item universe.
+// At serving rates these dominate the per-query allocation profile, so
+// the Table pools all of them; a steady-state query allocates O(k) for
+// its result and nothing else.
 
 // queryScratch bundles the per-query slices that are reused across
-// queries of one table: the legacy heap storage, the overlap slice,
-// and the bit-sliced ranker's accumulators and ladder storage
-// (directory.go). One scratch serves one query (or one batch target)
-// at a time; the entrySource built from it stays valid until the
-// scratch is returned.
+// queries of one table: the overlap slice, the bit-sliced kernel's
+// accumulators, the single-target key ladder (which pools its own
+// buffers), the multi-target float ladder's storage, and the
+// LegacyRanker's sorted slice. One scratch serves one query (or one
+// batch target) at a time; the entrySource built from it stays valid
+// until the scratch is returned.
 type queryScratch struct {
-	queue    entryQueue
 	overlaps []int
 
-	// Bit-sliced ranking state: per-slot bound accumulators, ranked
-	// items and their quantized sort keys, the counting-sort bucket
-	// bounds/cursors, and the ladder itself.
+	// Bit-sliced kernel accumulators and the key ladder.
+	accM   []int32
+	accD   []int32
+	ladder keyLadder
+
+	// Multi-target float ladder: ranked items and their quantized sort
+	// keys, the counting-sort bucket bounds/cursors, and the ladder
+	// itself. items also backs the LegacyRanker's sorted slice.
 	items    []rankedEntry
 	swap     []rankedEntry
 	enc      []uint64
 	keys     []uint64
-	accM     []int32
-	accD     []int32
 	starts   []int32
 	cursors  []int32
 	sortedBk []bool
-	ladder   entryLadder
-	heap     heapSource
+	floats   entryLadder
+	sorted   sortedSource
 }
 
 func (t *Table) getScratch() *queryScratch {

@@ -150,7 +150,7 @@ type rankedEntry struct {
 
 // rankedBefore is the visiting order: decreasing sort key, ties broken
 // by decreasing supercoordinate similarity, then coordinate. Shared by
-// the per-query heap and the batch engine's cross-target entry picking.
+// the entry sorts and the batch engine's cross-target entry picking.
 // Optimistic bounds tie in droves (hamming yields few distinct D_opt
 // values, and every superset of the target's coordinate bounds at
 // distance 0). Among ties, visit the entry whose activation pattern
@@ -164,8 +164,8 @@ func rankedBefore(a, b rankedEntry) bool {
 // CompareRanked is the entry visiting order as a pure function of the
 // ranking keys: decreasing sort key, ties broken by decreasing
 // supercoordinate similarity, then increasing coordinate. It reports
-// whether entry a is visited before entry b. The heap, the ladder, the
-// merge of a sharded index's parts and Explain all order by it.
+// whether entry a is visited before entry b. The rankers, the merge of
+// a sharded index's parts and Explain all order by it.
 func CompareRanked(sortA, tieA float64, coordA signature.Coord, sortB, tieB float64, coordB signature.Coord) bool {
 	if sortA != sortB {
 		return sortA > sortB
@@ -176,71 +176,13 @@ func CompareRanked(sortA, tieA float64, coordA signature.Coord, sortB, tieB floa
 	return coordA < coordB
 }
 
-// entryQueue is a max-heap of rankedEntry, ordered by (sort, tie,
-// coord). Most queries prune after visiting a small prefix of the
-// order, so lazily popping a heap beats fully sorting all occupied
-// entries (the dominant cost at scale). The heap is hand-rolled rather
-// than container/heap to keep pops allocation-free.
-type entryQueue []rankedEntry
-
-func (q entryQueue) Len() int { return len(q) }
-
-func (q entryQueue) before(i, j int) bool {
-	return rankedBefore(q[i], q[j])
-}
-
-// init heapifies the slice in O(n).
-func (q entryQueue) heapify() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-}
-
-func (q entryQueue) siftDown(i int) {
-	n := len(q)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && q.before(l, best) {
-			best = l
-		}
-		if r < n && q.before(r, best) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		q[i], q[best] = q[best], q[i]
-		i = best
-	}
-}
-
-// popMax removes and returns the front entry.
-func (q *entryQueue) popMax() rankedEntry {
-	old := *q
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*q = old[:n]
-	(*q).siftDown(0)
-	return top
-}
-
-// rankEntries computes bounds for all entries and heapifies them in
-// visiting order, reusing buf's storage when it is large enough (the
-// queue is one slot per occupied entry — the dominant per-query
-// allocation at scale, hence pooled via queryScratch). This is the
-// legacy ranking path — the naive O(entries×K) sweep the directory's
-// bit-sliced kernel replaces (directory.go) — kept as the A/B
-// reference the byte-identity property tests compare against.
-func (t *Table) rankEntries(buf entryQueue, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) entryQueue {
+// rankEntries computes every entry's keys with the naive O(entries×K)
+// bound loop and sorts them into visiting order with one full sort by
+// CompareRanked, in *buf's storage. It is the LegacyRanker reference
+// the byte-identity property tests compare the key ladder against.
+func (t *Table) rankEntries(buf *[]rankedEntry, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) []rankedEntry {
 	b := t.newBounder(overlaps)
-	q := buf
-	if cap(q) < len(t.entries) {
-		q = make(entryQueue, len(t.entries))
-	} else {
-		q = q[:len(t.entries)]
-	}
+	q := resizeItems(buf, len(t.entries))
 	for i, e := range t.entries {
 		bd := b.bounds(e.Coord)
 		opt := f.Score(bd.MatchOpt, bd.DistOpt)
@@ -251,7 +193,7 @@ func (t *Table) rankEntries(buf entryQueue, f simfun.Func, overlaps []int, targe
 		}
 		q[i] = rankedEntry{e: e, idx: i, opt: opt, sort: key, tie: sim}
 	}
-	q.heapify()
+	cmpRanked(q)
 	return q
 }
 
